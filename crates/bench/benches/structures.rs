@@ -133,9 +133,9 @@ fn bench_tracker(c: &mut Criterion) {
 /// The span cost the simulator pays per mitigation consultation. The quiet
 /// path (speculate + end_if_used with no child attached — the overwhelmingly
 /// common case) must stay within a few atomic ops; the eager variant is the
-/// lock-taking cost it replaced, kept as the reference point. With the
-/// telemetry feature off both compile to nothing and the numbers just
-/// measure the timer loop.
+/// lock-taking cost it replaced, kept as the reference point. The
+/// disabled-hub variant is the cost of the one off-switch: an inlined
+/// "no hub" branch per call, so it should measure the timer loop.
 fn bench_speculative_span(c: &mut Criterion) {
     let hub = Telemetry::new(Default::default());
     let mut t = 0u64;

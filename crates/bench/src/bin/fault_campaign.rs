@@ -149,14 +149,6 @@ fn main() {
     // this is only for the gate.) CSV bytes are unchanged either way.
     let telemetry = fail_on_alert
         .then(|| aqua_telemetry::Telemetry::new(aqua_telemetry::TelemetryConfig::default()));
-    if let Some(hub) = &telemetry {
-        if !hub.is_enabled() {
-            eprintln!(
-                "warning: built without the `telemetry` feature; \
-                 --fail-on-alert cannot observe alert firings"
-            );
-        }
-    }
 
     println!(
         "fault campaign: seed={seed} T_RH={t_rh} epochs={} rates={rates:?} \

@@ -30,7 +30,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use aqua_bench::gate::{json, JsonValue};
+use aqua_telemetry::json::{self, JsonValue};
 
 fn arg(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();

@@ -30,10 +30,7 @@
 //! phases), min/median/max, and the max/median ratio — the number that says
 //! whether a parallel run is gated on one slow channel.
 //!
-//! Defaults: aqua-sram on mcf, `T_RH=1000`, 1 epoch, 1 channel. Built
-//! without the `telemetry` feature the binary still runs the simulation but
-//! prints a note and exits 0 — there is nothing to profile, by design (the
-//! phase guards compile to nothing).
+//! Defaults: aqua-sram on mcf, `T_RH=1000`, 1 epoch, 1 channel.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -140,14 +137,7 @@ fn main() {
     let wall = hub
         .summary()
         .and_then(|summary| summary.wallclock)
-        .filter(|_| hub.is_enabled());
-    let Some(wall) = wall else {
-        println!(
-            "built without the `telemetry` feature: phase guards compile \
-             to nothing, so there is no host-time profile to report"
-        );
-        return;
-    };
+        .expect("a live hub profiles at least the sim.run phase");
 
     print_phase_table(&wall.paths, wall.host_wallclock_ns);
     // Per-job sim phases merge back as *sibling* roots of the coordinator's

@@ -17,7 +17,7 @@
 //!   `aqua_analysis::attribution` into migration-blocking, lookup-latency,
 //!   table-traffic, and residual components that sum to the slowdown;
 //! - **span-derived phase latencies** (p50/p99 of every `span.*` duration
-//!   histogram) when the `telemetry` feature is compiled in.
+//!   histogram).
 //!
 //! After the behavioral matrix it also times a **throughput canary**:
 //! `THROUGHPUT_REPEATS` (>= 5) serial repeats of the aqua-sram/mcf cell
@@ -38,10 +38,9 @@
 //! The result is written to `--out` (default
 //! `target/experiments/BENCH_8.json`) and compared against the committed
 //! baseline (`--baseline`, default `BENCH_8.json`) with the per-metric
-//! tolerances of `aqua_bench::gate::tolerance`. Pre-throughput (v1) and
-//! pre-scaling (v3) baselines are still accepted; the missing gates simply
-//! skip. Exit status: 0 = pass, 1 = regression (one line per violated
-//! tolerance on stderr), 2 = usage or I/O error.
+//! tolerances of `aqua_bench::gate::tolerance`. Exit status: 0 = pass,
+//! 1 = regression (one line per violated tolerance on stderr), 2 = usage
+//! or I/O error.
 //!
 //! `--write-baseline` re-measures and overwrites the baseline file
 //! instead of comparing (use after an intentional perf change); when
@@ -74,6 +73,7 @@ use aqua_bench::gate::{
 };
 use aqua_bench::{journal, supervise, Harness, Scheme};
 use aqua_sim::CostAblation;
+use aqua_telemetry::json::{self, JsonValue};
 use aqua_telemetry::Telemetry;
 
 const T_RH: u64 = 1000;
@@ -147,22 +147,6 @@ fn job_key(harness: &Harness, job: &Job) -> journal::CellKey {
     )
 }
 
-/// Escapes `s` as a JSON string into `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Encodes a [`JobResult`] as a compact journal payload. `f64` metrics use
 /// Rust's shortest-roundtrip formatting, so decode-then-encode is a
 /// byte-level fixpoint and resumed gate reports diff clean.
@@ -180,7 +164,7 @@ fn encode_job(r: &JobResult) -> String {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        push_json_str(&mut out, &p.name);
+        json::push_str(&mut out, &p.name);
         let _ = std::fmt::Write::write_fmt(
             &mut out,
             format_args!(",\"p50_ps\":{},\"p99_ps\":{}}}", p.p50_ps, p.p99_ps),
@@ -191,19 +175,19 @@ fn encode_job(r: &JobResult) -> String {
 }
 
 /// Decodes an [`encode_job`] payload back into a [`JobResult`].
-fn decode_job(value: &gate::JsonValue) -> Result<JobResult, String> {
+fn decode_job(value: &JsonValue) -> Result<JobResult, String> {
     let obj = value.as_obj().ok_or("payload is not an object")?;
-    let num = |o: &[(String, gate::JsonValue)], name: &str| {
-        gate::json::get(o, name)
-            .and_then(gate::JsonValue::as_f64)
+    let num = |o: &[(String, JsonValue)], name: &str| {
+        json::get(o, name)
+            .and_then(JsonValue::as_f64)
             .ok_or_else(|| format!("payload field {name:?} missing or not a number"))
     };
     let requests = num(obj, "requests_done")?;
     if requests < 0.0 || requests.fract() != 0.0 {
         return Err(format!("requests_done = {requests} is not an integer"));
     }
-    let phases = gate::json::get(obj, "phases")
-        .and_then(gate::JsonValue::as_arr)
+    let phases = json::get(obj, "phases")
+        .and_then(JsonValue::as_arr)
         .ok_or("payload field \"phases\" missing or not an array")?
         .iter()
         .map(|p| {
@@ -211,8 +195,8 @@ fn decode_job(value: &gate::JsonValue) -> Result<JobResult, String> {
                 .as_obj()
                 .ok_or_else(|| "phase is not an object".to_string())?;
             Ok(PhaseLatency {
-                name: gate::json::get(o, "name")
-                    .and_then(gate::JsonValue::as_str)
+                name: json::get(o, "name")
+                    .and_then(JsonValue::as_str)
                     .ok_or_else(|| "phase field \"name\" missing or not a string".to_string())?
                     .to_string(),
                 p50_ps: num(o, "p50_ps")?,
@@ -478,17 +462,16 @@ fn measure(inject_pp: f64) -> Result<GateReport, String> {
         t_rh: T_RH,
         epochs: EPOCHS,
         seed: SEED,
-        telemetry: Telemetry::new(Default::default()).is_enabled(),
-        throughput: Some(throughput),
-        scaling: Some(scaling),
+        throughput,
+        scaling,
         cells,
     })
 }
 
 fn print_report(report: &GateReport) {
     println!(
-        "\n== regression gate canary (T_RH={}, epochs={}, seed={}, telemetry={}) ==",
-        report.t_rh, report.epochs, report.seed, report.telemetry
+        "\n== regression gate canary (T_RH={}, epochs={}, seed={}) ==",
+        report.t_rh, report.epochs, report.seed
     );
     println!(
         "{:<12} {:<8} {:>9} {:>10} | {:>7} {:>7} {:>7} {:>8}",
@@ -515,38 +498,36 @@ fn print_report(report: &GateReport) {
             );
         }
     }
-    if let Some(t) = &report.throughput {
+    let t = &report.throughput;
+    println!(
+        "throughput canary: {}/{} x{} repeats, {} accesses/run -> \
+         median {:.0} accesses/sec (min {:.0}, max {:.0})",
+        t.scheme,
+        t.workload,
+        t.repeats,
+        t.accesses_per_run,
+        t.median_accesses_per_sec,
+        t.min_accesses_per_sec,
+        t.max_accesses_per_sec
+    );
+    let s = &report.scaling;
+    println!(
+        "scaling canary: {}/{} on {} channels, {} shard workers \
+         ({} host cores) -> {:.0} vs {:.0} accesses/sec = {:.2}x",
+        s.scheme,
+        s.workload,
+        s.channels,
+        s.shard_workers,
+        s.host_parallelism,
+        s.sharded_accesses_per_sec,
+        s.single_accesses_per_sec,
+        s.scaling_efficiency
+    );
+    if s.host_parallelism < s.channels {
         println!(
-            "throughput canary: {}/{} x{} repeats, {} accesses/run -> \
-             median {:.0} accesses/sec (min {:.0}, max {:.0})",
-            t.scheme,
-            t.workload,
-            t.repeats,
-            t.accesses_per_run,
-            t.median_accesses_per_sec,
-            t.min_accesses_per_sec,
-            t.max_accesses_per_sec
+            "  (host has fewer cores than channels; the {}x floor is not enforced)",
+            gate::tolerance::SCALING_MIN_SPEEDUP
         );
-    }
-    if let Some(s) = &report.scaling {
-        println!(
-            "scaling canary: {}/{} on {} channels, {} shard workers \
-             ({} host cores) -> {:.0} vs {:.0} accesses/sec = {:.2}x",
-            s.scheme,
-            s.workload,
-            s.channels,
-            s.shard_workers,
-            s.host_parallelism,
-            s.sharded_accesses_per_sec,
-            s.single_accesses_per_sec,
-            s.scaling_efficiency
-        );
-        if s.host_parallelism < s.channels {
-            println!(
-                "  (host has fewer cores than channels; the {}x floor is not enforced)",
-                gate::tolerance::SCALING_MIN_SPEEDUP
-            );
-        }
     }
 }
 
@@ -577,11 +558,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Some(t) = report.throughput.as_mut() {
-        t.median_accesses_per_sec /= inject_throttle;
-        t.min_accesses_per_sec /= inject_throttle;
-        t.max_accesses_per_sec /= inject_throttle;
-    }
+    let t = &mut report.throughput;
+    t.median_accesses_per_sec /= inject_throttle;
+    t.min_accesses_per_sec /= inject_throttle;
+    t.max_accesses_per_sec /= inject_throttle;
     print_report(&report);
 
     if flag("--write-baseline") {

@@ -34,8 +34,8 @@
 //! Prints the full run report, including the security-oracle verdict, the
 //! shadow-memory integrity check, and — when a hub is attached — a
 //! host-throughput section (accesses per wallclock second; see DESIGN.md
-//! §12 on host vs simulated time). Telemetry flags require the default
-//! `telemetry` cargo feature; without it the output files are empty shells.
+//! §12 on host vs simulated time). Without a telemetry flag no hub is
+//! attached and the run records nothing.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -110,14 +110,7 @@ fn main() {
         if let Some(cap) = arg("--trace-capacity").and_then(|v| v.parse().ok()) {
             cfg.trace_capacity = cap;
         }
-        let hub = Telemetry::new(cfg);
-        if !hub.is_enabled() {
-            eprintln!(
-                "warning: built without the `telemetry` feature; \
-                 trace/timeseries/histogram outputs will be empty"
-            );
-        }
-        Some(hub)
+        Some(Telemetry::new(cfg))
     } else {
         None
     };

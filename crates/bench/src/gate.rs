@@ -18,13 +18,12 @@
 //! The multi-channel scaling canary ([`ScalingMetrics`]) gates the sharded
 //! engine's parallel speedup the same way, adaptively: the
 //! [`tolerance::SCALING_MIN_SPEEDUP`] floor arms only on hosts with at
-//! least as many cores as canary channels. Pre-throughput (v1) and
-//! pre-scaling (v3) baselines parse fine and simply skip those gates.
+//! least as many cores as canary channels.
 //!
-//! The baseline file is JSON. The workspace has no JSON dependency, so this
-//! module carries a small recursive-descent parser for the subset the gate
-//! emits (objects, arrays, strings, finite numbers, booleans, null).
+//! The baseline file is JSON, written and read through
+//! [`aqua_telemetry::json`].
 
+use aqua_telemetry::json::{self, num_exact, push_str, JsonValue};
 use std::fmt::Write as _;
 
 /// Gate tolerances (documented in DESIGN.md section 11).
@@ -64,8 +63,7 @@ pub mod tolerance {
 }
 
 /// Span-derived latency of one migration phase, from the full run's
-/// telemetry summary (`span.<name>` histograms). Empty when the build has
-/// telemetry compiled out.
+/// telemetry summary (`span.<name>` histograms).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseLatency {
     /// Histogram name (e.g. `span.migration.install`).
@@ -102,7 +100,7 @@ pub struct CellMetrics {
     pub migrations_per_epoch: f64,
     /// Causal slowdown decomposition from the ablation re-runs.
     pub attribution: CellAttribution,
-    /// Span-derived phase latencies (empty when telemetry is off).
+    /// Span-derived phase latencies.
     pub phases: Vec<PhaseLatency>,
 }
 
@@ -170,17 +168,10 @@ pub struct GateReport {
     pub epochs: u64,
     /// Workload seed.
     pub seed: u64,
-    /// Whether the producing build had telemetry compiled in (controls
-    /// whether phase latencies are compared).
-    pub telemetry: bool,
-    /// Host-throughput measurement, `None` in baselines produced before
-    /// the throughput gate existed (they still parse and gate on the
-    /// behavioral metrics alone).
-    pub throughput: Option<ThroughputMetrics>,
-    /// Shard-scaling measurement of the multi-channel canary, `None` in
-    /// baselines produced before the sharded simulator existed (they
-    /// still parse and skip the scaling gate).
-    pub scaling: Option<ScalingMetrics>,
+    /// Host-throughput measurement of the timing canary.
+    pub throughput: ThroughputMetrics,
+    /// Shard-scaling measurement of the multi-channel canary.
+    pub scaling: ScalingMetrics,
     /// One entry per canary cell, in matrix order.
     pub cells: Vec<CellMetrics>,
 }
@@ -200,122 +191,87 @@ pub fn median_of(mut xs: Vec<f64>) -> f64 {
     }
 }
 
-/// Formats a float so that parsing it back yields the identical `f64`
-/// (Rust's shortest-roundtrip `Display`). Non-finite values — which valid
-/// gate metrics never produce — serialize as 0 to keep the JSON parseable.
-pub(crate) fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl GateReport {
     /// Renders the report as a pretty-printed JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
+        // `"telemetry": true` is a constant: every build records span
+        // phases now, and the field keeps the document byte-compatible with
+        // committed baselines and with readers that still require it.
         let _ = write!(
             out,
             "{{\n  \"schema\": \"aqua-bench-gate-v1\",\n  \"t_rh\": {},\n  \
-             \"epochs\": {},\n  \"seed\": {},\n  \"telemetry\": {},\n  \"throughput\": ",
-            self.t_rh, self.epochs, self.seed, self.telemetry
+             \"epochs\": {},\n  \"seed\": {},\n  \"telemetry\": true,\n  \"throughput\": ",
+            self.t_rh, self.epochs, self.seed
         );
-        match &self.throughput {
-            None => out.push_str("null"),
-            Some(t) => {
-                out.push_str("{\n    \"scheme\": ");
-                push_json_str(&mut out, &t.scheme);
-                out.push_str(",\n    \"workload\": ");
-                push_json_str(&mut out, &t.workload);
-                let _ = write!(
-                    out,
-                    ",\n    \"repeats\": {},\n    \"accesses_per_run\": {},\n    \
-                     \"median_accesses_per_sec\": {},\n    \"min_accesses_per_sec\": {},\n    \
-                     \"max_accesses_per_sec\": {}\n  }}",
-                    t.repeats,
-                    t.accesses_per_run,
-                    num(t.median_accesses_per_sec),
-                    num(t.min_accesses_per_sec),
-                    num(t.max_accesses_per_sec)
-                );
-            }
-        }
-        out.push_str(",\n  \"scaling\": ");
-        match &self.scaling {
-            None => out.push_str("null"),
-            Some(s) => {
-                out.push_str("{\n    \"scheme\": ");
-                push_json_str(&mut out, &s.scheme);
-                out.push_str(",\n    \"workload\": ");
-                push_json_str(&mut out, &s.workload);
-                let _ = write!(
-                    out,
-                    ",\n    \"channels\": {},\n    \"repeats\": {},\n    \
-                     \"accesses_per_run\": {},\n    \"single_accesses_per_sec\": {},\n    \
-                     \"sharded_accesses_per_sec\": {},\n    \"shard_workers\": {},\n    \
-                     \"host_parallelism\": {},\n    \"scaling_efficiency\": {}\n  }}",
-                    s.channels,
-                    s.repeats,
-                    s.accesses_per_run,
-                    num(s.single_accesses_per_sec),
-                    num(s.sharded_accesses_per_sec),
-                    s.shard_workers,
-                    s.host_parallelism,
-                    num(s.scaling_efficiency)
-                );
-            }
-        }
+        let t = &self.throughput;
+        out.push_str("{\n    \"scheme\": ");
+        push_str(&mut out, &t.scheme);
+        out.push_str(",\n    \"workload\": ");
+        push_str(&mut out, &t.workload);
+        let _ = write!(
+            out,
+            ",\n    \"repeats\": {},\n    \"accesses_per_run\": {},\n    \
+             \"median_accesses_per_sec\": {},\n    \"min_accesses_per_sec\": {},\n    \
+             \"max_accesses_per_sec\": {}\n  }}",
+            t.repeats,
+            t.accesses_per_run,
+            num_exact(t.median_accesses_per_sec),
+            num_exact(t.min_accesses_per_sec),
+            num_exact(t.max_accesses_per_sec)
+        );
+        let s = &self.scaling;
+        out.push_str(",\n  \"scaling\": {\n    \"scheme\": ");
+        push_str(&mut out, &s.scheme);
+        out.push_str(",\n    \"workload\": ");
+        push_str(&mut out, &s.workload);
+        let _ = write!(
+            out,
+            ",\n    \"channels\": {},\n    \"repeats\": {},\n    \
+             \"accesses_per_run\": {},\n    \"single_accesses_per_sec\": {},\n    \
+             \"sharded_accesses_per_sec\": {},\n    \"shard_workers\": {},\n    \
+             \"host_parallelism\": {},\n    \"scaling_efficiency\": {}\n  }}",
+            s.channels,
+            s.repeats,
+            s.accesses_per_run,
+            num_exact(s.single_accesses_per_sec),
+            num_exact(s.sharded_accesses_per_sec),
+            s.shard_workers,
+            s.host_parallelism,
+            num_exact(s.scaling_efficiency)
+        );
         out.push_str(",\n  \"cells\": [");
         for (i, c) in self.cells.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n    {\n      \"scheme\": ");
-            push_json_str(&mut out, &c.scheme);
+            push_str(&mut out, &c.scheme);
             out.push_str(",\n      \"workload\": ");
-            push_json_str(&mut out, &c.workload);
+            push_str(&mut out, &c.workload);
             let _ = write!(
                 out,
                 ",\n      \"slowdown_pct\": {},\n      \"migrations_per_epoch\": {},\n      \
                  \"attribution\": {{\"migration_pct\": {}, \"lookup_pct\": {}, \
                  \"table_traffic_pct\": {}, \"residual_pct\": {}}},\n      \"phases\": [",
-                num(c.slowdown_pct),
-                num(c.migrations_per_epoch),
-                num(c.attribution.migration_pct),
-                num(c.attribution.lookup_pct),
-                num(c.attribution.table_traffic_pct),
-                num(c.attribution.residual_pct)
+                num_exact(c.slowdown_pct),
+                num_exact(c.migrations_per_epoch),
+                num_exact(c.attribution.migration_pct),
+                num_exact(c.attribution.lookup_pct),
+                num_exact(c.attribution.table_traffic_pct),
+                num_exact(c.attribution.residual_pct)
             );
             for (j, p) in c.phases.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
                 out.push_str("\n        {\"name\": ");
-                push_json_str(&mut out, &p.name);
+                push_str(&mut out, &p.name);
                 let _ = write!(
                     out,
                     ", \"p50_ps\": {}, \"p99_ps\": {}}}",
-                    num(p.p50_ps),
-                    num(p.p99_ps)
+                    num_exact(p.p50_ps),
+                    num_exact(p.p99_ps)
                 );
             }
             if !c.phases.is_empty() {
@@ -401,72 +357,59 @@ impl GateReport {
                 phases,
             });
         }
-        // Absent or null in pre-throughput (v1) baselines: still parses,
-        // and [`compare`] simply skips the throughput gate.
-        let throughput = match json::get(obj, "throughput") {
-            None | Some(JsonValue::Null) => None,
-            Some(tv) => {
-                let to = tv.as_obj().ok_or("\"throughput\" is not an object")?;
-                let tnum = |name: &str| -> Result<f64, String> {
-                    json::get(to, name)
-                        .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| format!("throughput missing numeric field {name:?}"))
-                };
-                let tstr = |name: &str| -> Result<String, String> {
-                    json::get(to, name)
-                        .and_then(JsonValue::as_str)
-                        .map(String::from)
-                        .ok_or_else(|| format!("throughput missing string field {name:?}"))
-                };
-                Some(ThroughputMetrics {
-                    scheme: tstr("scheme")?,
-                    workload: tstr("workload")?,
-                    repeats: tnum("repeats")? as u64,
-                    accesses_per_run: tnum("accesses_per_run")? as u64,
-                    median_accesses_per_sec: tnum("median_accesses_per_sec")?,
-                    min_accesses_per_sec: tnum("min_accesses_per_sec")?,
-                    max_accesses_per_sec: tnum("max_accesses_per_sec")?,
-                })
-            }
+        let to = json::get(obj, "throughput")
+            .and_then(JsonValue::as_obj)
+            .ok_or("missing \"throughput\" object")?;
+        let tnum = |name: &str| -> Result<f64, String> {
+            json::get(to, name)
+                .and_then(JsonValue::as_f64)
+                .ok_or_else(|| format!("throughput missing numeric field {name:?}"))
         };
-        // Absent or null in pre-sharding (v1-v3) baselines: still parses,
-        // and [`compare`] simply skips the scaling gate.
-        let scaling = match json::get(obj, "scaling") {
-            None | Some(JsonValue::Null) => None,
-            Some(sv) => {
-                let so = sv.as_obj().ok_or("\"scaling\" is not an object")?;
-                let snum = |name: &str| -> Result<f64, String> {
-                    json::get(so, name)
-                        .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| format!("scaling missing numeric field {name:?}"))
-                };
-                let sstr = |name: &str| -> Result<String, String> {
-                    json::get(so, name)
-                        .and_then(JsonValue::as_str)
-                        .map(String::from)
-                        .ok_or_else(|| format!("scaling missing string field {name:?}"))
-                };
-                Some(ScalingMetrics {
-                    scheme: sstr("scheme")?,
-                    workload: sstr("workload")?,
-                    channels: snum("channels")? as u64,
-                    repeats: snum("repeats")? as u64,
-                    accesses_per_run: snum("accesses_per_run")? as u64,
-                    single_accesses_per_sec: snum("single_accesses_per_sec")?,
-                    sharded_accesses_per_sec: snum("sharded_accesses_per_sec")?,
-                    shard_workers: snum("shard_workers")? as u64,
-                    host_parallelism: snum("host_parallelism")? as u64,
-                    scaling_efficiency: snum("scaling_efficiency")?,
-                })
-            }
+        let tstr = |name: &str| -> Result<String, String> {
+            json::get(to, name)
+                .and_then(JsonValue::as_str)
+                .map(String::from)
+                .ok_or_else(|| format!("throughput missing string field {name:?}"))
+        };
+        let throughput = ThroughputMetrics {
+            scheme: tstr("scheme")?,
+            workload: tstr("workload")?,
+            repeats: tnum("repeats")? as u64,
+            accesses_per_run: tnum("accesses_per_run")? as u64,
+            median_accesses_per_sec: tnum("median_accesses_per_sec")?,
+            min_accesses_per_sec: tnum("min_accesses_per_sec")?,
+            max_accesses_per_sec: tnum("max_accesses_per_sec")?,
+        };
+        let so = json::get(obj, "scaling")
+            .and_then(JsonValue::as_obj)
+            .ok_or("missing \"scaling\" object")?;
+        let snum = |name: &str| -> Result<f64, String> {
+            json::get(so, name)
+                .and_then(JsonValue::as_f64)
+                .ok_or_else(|| format!("scaling missing numeric field {name:?}"))
+        };
+        let sstr = |name: &str| -> Result<String, String> {
+            json::get(so, name)
+                .and_then(JsonValue::as_str)
+                .map(String::from)
+                .ok_or_else(|| format!("scaling missing string field {name:?}"))
+        };
+        let scaling = ScalingMetrics {
+            scheme: sstr("scheme")?,
+            workload: sstr("workload")?,
+            channels: snum("channels")? as u64,
+            repeats: snum("repeats")? as u64,
+            accesses_per_run: snum("accesses_per_run")? as u64,
+            single_accesses_per_sec: snum("single_accesses_per_sec")?,
+            sharded_accesses_per_sec: snum("sharded_accesses_per_sec")?,
+            shard_workers: snum("shard_workers")? as u64,
+            host_parallelism: snum("host_parallelism")? as u64,
+            scaling_efficiency: snum("scaling_efficiency")?,
         };
         Ok(GateReport {
             t_rh: field_u64("t_rh")?,
             epochs: field_u64("epochs")?,
             seed: field_u64("seed")?,
-            telemetry: json::get(obj, "telemetry")
-                .and_then(JsonValue::as_bool)
-                .ok_or("missing boolean field \"telemetry\"")?,
             throughput,
             scaling,
             cells,
@@ -476,10 +419,6 @@ impl GateReport {
 
 /// Compares `current` against the committed `baseline` and returns one
 /// human-readable line per violated tolerance (empty = gate passes).
-///
-/// Span-phase latencies are only compared when **both** reports were
-/// produced with telemetry compiled in; a feature-off build gates on the
-/// behavioral metrics alone.
 pub fn compare(baseline: &GateReport, current: &GateReport) -> Vec<String> {
     use tolerance::*;
     let mut failures = Vec::new();
@@ -498,45 +437,37 @@ pub fn compare(baseline: &GateReport, current: &GateReport) -> Vec<String> {
         ));
         return failures;
     }
-    // The throughput gate is downward-only (slower fails, faster is fine)
-    // and needs both sides: a pre-throughput baseline, or a current run
-    // that skipped the timing canary, gates on behavior alone.
-    if let (Some(bt), Some(ct)) = (&baseline.throughput, &current.throughput) {
-        let floor = bt.median_accesses_per_sec / THROUGHPUT_FACTOR;
-        if bt.median_accesses_per_sec > 0.0 && ct.median_accesses_per_sec < floor {
-            failures.push(format!(
-                "throughput: median {:.0} accesses/sec fell below {:.0} \
-                 (baseline {:.0} / tolerance factor {THROUGHPUT_FACTOR}) on {}/{}",
-                ct.median_accesses_per_sec,
-                floor,
-                bt.median_accesses_per_sec,
-                bt.scheme,
-                bt.workload
-            ));
-        }
+    // The throughput gate is downward-only (slower fails, faster is fine).
+    let (bt, ct) = (&baseline.throughput, &current.throughput);
+    let floor = bt.median_accesses_per_sec / THROUGHPUT_FACTOR;
+    if bt.median_accesses_per_sec > 0.0 && ct.median_accesses_per_sec < floor {
+        failures.push(format!(
+            "throughput: median {:.0} accesses/sec fell below {:.0} \
+             (baseline {:.0} / tolerance factor {THROUGHPUT_FACTOR}) on {}/{}",
+            ct.median_accesses_per_sec, floor, bt.median_accesses_per_sec, bt.scheme, bt.workload
+        ));
     }
     // The scaling gate is host-parallelism-adaptive: a host with fewer
     // cores than the canary has channels cannot show a parallel speedup,
     // so its honest numbers are recorded but never gated. The baseline's
     // own efficiency is not a bound — the floor is absolute.
-    if let Some(cs) = &current.scaling {
-        if cs.host_parallelism >= cs.channels
-            && cs.single_accesses_per_sec > 0.0
-            && cs.scaling_efficiency < SCALING_MIN_SPEEDUP
-        {
-            failures.push(format!(
-                "scaling: {}-channel canary reached only {:.2}x single-shard throughput \
-                 ({:.0} vs {:.0} accesses/sec) on a {}-core host; the floor is \
-                 {SCALING_MIN_SPEEDUP}x on {}/{}",
-                cs.channels,
-                cs.scaling_efficiency,
-                cs.sharded_accesses_per_sec,
-                cs.single_accesses_per_sec,
-                cs.host_parallelism,
-                cs.scheme,
-                cs.workload
-            ));
-        }
+    let cs = &current.scaling;
+    if cs.host_parallelism >= cs.channels
+        && cs.single_accesses_per_sec > 0.0
+        && cs.scaling_efficiency < SCALING_MIN_SPEEDUP
+    {
+        failures.push(format!(
+            "scaling: {}-channel canary reached only {:.2}x single-shard throughput \
+             ({:.0} vs {:.0} accesses/sec) on a {}-core host; the floor is \
+             {SCALING_MIN_SPEEDUP}x on {}/{}",
+            cs.channels,
+            cs.scaling_efficiency,
+            cs.sharded_accesses_per_sec,
+            cs.single_accesses_per_sec,
+            cs.host_parallelism,
+            cs.scheme,
+            cs.workload
+        ));
     }
     for b in &baseline.cells {
         let id = format!("{}/{}", b.scheme, b.workload);
@@ -570,309 +501,27 @@ pub fn compare(baseline: &GateReport, current: &GateReport) -> Vec<String> {
                 c.attribution.residual_pct
             ));
         }
-        if baseline.telemetry && current.telemetry {
-            for bp in &b.phases {
-                let Some(cp) = c.phases.iter().find(|p| p.name == bp.name) else {
-                    failures.push(format!("{id}: phase {} missing from current run", bp.name));
+        for bp in &b.phases {
+            let Some(cp) = c.phases.iter().find(|p| p.name == bp.name) else {
+                failures.push(format!("{id}: phase {} missing from current run", bp.name));
+                continue;
+            };
+            for (metric, bv, cv) in [("p50", bp.p50_ps, cp.p50_ps), ("p99", bp.p99_ps, cp.p99_ps)] {
+                if bv < PHASE_FLOOR_PS && cv < PHASE_FLOOR_PS {
                     continue;
-                };
-                for (metric, bv, cv) in
-                    [("p50", bp.p50_ps, cp.p50_ps), ("p99", bp.p99_ps, cp.p99_ps)]
-                {
-                    if bv < PHASE_FLOOR_PS && cv < PHASE_FLOOR_PS {
-                        continue;
-                    }
-                    if cv > bv * (1.0 + PHASE_REL) + PHASE_FLOOR_PS {
-                        failures.push(format!(
-                            "{id}: {} {metric} {cv:.0} ps exceeds baseline {bv:.0} ps \
-                             by more than {:.0}%",
-                            bp.name,
-                            PHASE_REL * 100.0
-                        ));
-                    }
+                }
+                if cv > bv * (1.0 + PHASE_REL) + PHASE_FLOOR_PS {
+                    failures.push(format!(
+                        "{id}: {} {metric} {cv:.0} ps exceeds baseline {bv:.0} ps \
+                         by more than {:.0}%",
+                        bp.name,
+                        PHASE_REL * 100.0
+                    ));
                 }
             }
         }
     }
     failures
-}
-
-/// Minimal JSON value for the baseline parser.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any finite number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in source order (duplicate keys keep the first).
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// The value as an object's field list, if it is one.
-    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-    /// The value as an array, if it is one.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    /// The value as a number, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// The hand-rolled JSON-subset parser (no external dependencies).
-pub mod json {
-    use super::JsonValue;
-
-    /// Looks up `name` in an object's field list.
-    pub fn get<'a>(obj: &'a [(String, JsonValue)], name: &str) -> Option<&'a JsonValue> {
-        obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    }
-
-    /// Parses a complete JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected {:?} at byte {}, found {:?}",
-                    b as char,
-                    self.pos,
-                    self.peek().map(|c| c as char)
-                ))
-            }
-        }
-
-        fn eat_keyword(&mut self, word: &str) -> bool {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                true
-            } else {
-                false
-            }
-        }
-
-        fn value(&mut self) -> Result<JsonValue, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-                Some(b't') if self.eat_keyword("true") => Ok(JsonValue::Bool(true)),
-                Some(b'f') if self.eat_keyword("false") => Ok(JsonValue::Bool(false)),
-                Some(b'n') if self.eat_keyword("null") => Ok(JsonValue::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                other => Err(format!(
-                    "unexpected {:?} at byte {}",
-                    other.map(|c| c as char),
-                    self.pos
-                )),
-            }
-        }
-
-        fn object(&mut self) -> Result<JsonValue, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let value = self.value()?;
-                fields.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(JsonValue::Obj(fields));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected ',' or '}}' at byte {}, found {:?}",
-                            self.pos,
-                            other.map(|c| c as char)
-                        ))
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<JsonValue, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(JsonValue::Arr(items));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected ',' or ']' at byte {}, found {:?}",
-                            self.pos,
-                            other.map(|c| c as char)
-                        ))
-                    }
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                                // Surrogate pairs are not emitted by the gate
-                                // writer; map them to the replacement char.
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                self.pos += 4;
-                            }
-                            other => {
-                                return Err(format!(
-                                    "bad escape {:?} at byte {}",
-                                    other.map(|c| c as char),
-                                    self.pos
-                                ))
-                            }
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (the input is a &str, so
-                        // byte boundaries are safe to find this way).
-                        let start = self.pos;
-                        self.pos += 1;
-                        while self.pos < self.bytes.len()
-                            && (self.bytes[self.pos] & 0b1100_0000) == 0b1000_0000
-                        {
-                            self.pos += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&self.bytes[start..self.pos])
-                                .map_err(|_| "invalid UTF-8 in string")?,
-                        );
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<JsonValue, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-            {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| "invalid number bytes")?;
-            text.parse::<f64>()
-                .map(JsonValue::Num)
-                .map_err(|_| format!("bad number {text:?} at byte {start}"))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -884,8 +533,7 @@ mod tests {
             t_rh: 1000,
             epochs: 1,
             seed: 42,
-            telemetry: true,
-            throughput: Some(ThroughputMetrics {
+            throughput: ThroughputMetrics {
                 scheme: "aqua-sram".into(),
                 workload: "mcf".into(),
                 repeats: 5,
@@ -893,8 +541,8 @@ mod tests {
                 median_accesses_per_sec: 2_000_000.0,
                 min_accesses_per_sec: 1_800_000.0,
                 max_accesses_per_sec: 2_200_000.0,
-            }),
-            scaling: Some(ScalingMetrics {
+            },
+            scaling: ScalingMetrics {
                 scheme: "aqua-sram".into(),
                 workload: "mcf".into(),
                 channels: 4,
@@ -905,7 +553,7 @@ mod tests {
                 shard_workers: 4,
                 host_parallelism: 8,
                 scaling_efficiency: 3.2,
-            }),
+            },
             cells: vec![CellMetrics {
                 scheme: "aqua-sram".into(),
                 workload: "mcf".into(),
@@ -984,17 +632,19 @@ mod tests {
     }
 
     #[test]
-    fn phase_latencies_gate_only_when_both_sides_have_telemetry() {
+    fn phase_latencies_are_always_gated() {
         let base = sample();
         let mut cur = base.clone();
         cur.cells[0].phases[0].p99_ps *= 2.0;
         assert!(compare(&base, &cur)
             .iter()
             .any(|f| f.contains("span.migration.install")));
-        // Telemetry off on one side: the phase comparison is skipped.
-        let mut cur_off = cur.clone();
-        cur_off.telemetry = false;
-        assert!(compare(&base, &cur_off).is_empty());
+        // A current run that lost the phase fails too.
+        let mut lost = base.clone();
+        lost.cells[0].phases.clear();
+        assert!(compare(&base, &lost)
+            .iter()
+            .any(|f| f.contains("phase span.migration.install missing")));
     }
 
     #[test]
@@ -1021,128 +671,73 @@ mod tests {
         let base = sample();
         // Modest slowdown (within the generous factor): passes.
         let mut slower = base.clone();
-        slower.throughput.as_mut().unwrap().median_accesses_per_sec /= 2.0;
+        slower.throughput.median_accesses_per_sec /= 2.0;
         assert!(compare(&base, &slower).is_empty());
         // Faster: always passes.
         let mut faster = base.clone();
-        faster.throughput.as_mut().unwrap().median_accesses_per_sec *= 10.0;
+        faster.throughput.median_accesses_per_sec *= 10.0;
         assert!(compare(&base, &faster).is_empty());
         // Collapse beyond the factor: fails, and says by how much.
         let mut collapsed = base.clone();
-        collapsed
-            .throughput
-            .as_mut()
-            .unwrap()
-            .median_accesses_per_sec /= 10.0;
+        collapsed.throughput.median_accesses_per_sec /= 10.0;
         let failures = compare(&base, &collapsed);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("throughput"), "{failures:?}");
         assert!(failures[0].contains("aqua-sram/mcf"), "{failures:?}");
     }
 
-    #[test]
-    fn throughput_gate_skips_when_either_side_lacks_it() {
-        let base = sample();
-        let mut old_baseline = base.clone();
-        old_baseline.throughput = None;
-        let mut collapsed = base.clone();
-        collapsed
-            .throughput
-            .as_mut()
-            .unwrap()
-            .median_accesses_per_sec = 1.0;
-        // v1 baseline without throughput: current's numbers are reported
-        // but not gated.
-        assert!(compare(&old_baseline, &collapsed).is_empty());
-        // Current run skipped the timing canary: also no gate.
-        let mut no_timing = base.clone();
-        no_timing.throughput = None;
-        assert!(compare(&base, &no_timing).is_empty());
+    /// Replaces the top-level `block` object of a rendered report with
+    /// `null`.
+    fn null_out(json: &str, block: &str) -> String {
+        let start = json.find(&format!("\"{block}\": {{")).unwrap();
+        let end = start + json[start..].find("\n  }").unwrap() + "\n  }".len();
+        format!("{}\"{block}\": null{}", &json[..start], &json[end..])
     }
 
     #[test]
-    fn throughput_roundtrips_and_null_parses_as_none() {
-        let with = sample();
-        assert_eq!(GateReport::from_json(&with.to_json()).unwrap(), with);
-        let mut without = sample();
-        without.throughput = None;
-        let j = without.to_json();
+    fn throughput_block_is_required() {
+        let j = null_out(&sample().to_json(), "throughput");
         assert!(j.contains("\"throughput\": null"), "{j}");
-        assert_eq!(GateReport::from_json(&j).unwrap(), without);
+        let err = GateReport::from_json(&j).unwrap_err();
+        assert!(err.contains("throughput"), "{err}");
     }
 
     #[test]
     fn parser_tolerates_unknown_fields() {
         // A future schema revision may add fields; today's parser must
         // look up what it knows and ignore the rest — at every level.
-        let mut r = sample();
-        r.throughput = None;
+        let r = sample();
         let j = r
             .to_json()
             .replacen("\"t_rh\"", "\"future_top\": {\"x\": [1,2]},\n  \"t_rh\"", 1)
-            .replacen("\"scheme\"", "\"future_cell\": true,\n      \"scheme\"", 1)
+            .replacen("\"repeats\"", "\"future_block\": 1,\n    \"repeats\"", 1)
+            .replacen(
+                "      \"scheme\"",
+                "      \"future_cell\": true,\n      \"scheme\"",
+                1,
+            )
             .replacen("\"p50_ps\"", "\"future_phase\": null, \"p50_ps\"", 1);
         assert_eq!(GateReport::from_json(&j).unwrap(), r);
     }
 
     #[test]
-    fn v1_committed_baseline_still_parses() {
-        // BENCH_5.json predates the throughput block; it must keep parsing
-        // (backward compatibility for old baselines and external readers).
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_5.json");
-        let text = std::fs::read_to_string(path).expect("committed BENCH_5.json");
-        let r = GateReport::from_json(&text).expect("v1 baseline parses");
+    fn committed_baseline_parses_and_gates_against_itself() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
+        let text = std::fs::read_to_string(path).expect("committed BENCH_8.json");
+        let r = GateReport::from_json(&text).expect("BENCH_8.json parses");
         assert_eq!((r.t_rh, r.epochs, r.seed), (1000, 1, 42));
-        assert!(r.throughput.is_none());
-        assert!(!r.cells.is_empty());
-        // And it still gates cleanly against itself.
+        assert!(r.cells.iter().any(|c| !c.phases.is_empty()));
         assert!(compare(&r, &r).is_empty());
+        // Re-rendering reproduces the committed bytes.
+        assert_eq!(r.to_json(), text);
     }
 
     #[test]
-    fn v2_committed_baseline_still_parses() {
-        // BENCH_6.json is the last pre-campaign throughput baseline; it is
-        // kept committed as a parser fixture for the v2 (with-throughput)
-        // format after BENCH_7.json became the gated baseline.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_6.json");
-        let text = std::fs::read_to_string(path).expect("committed BENCH_6.json");
-        let r = GateReport::from_json(&text).expect("v2 baseline parses");
-        assert_eq!((r.t_rh, r.epochs, r.seed), (1000, 1, 42));
-        let t = r.throughput.as_ref().expect("v2 baseline has throughput");
-        assert!(t.median_accesses_per_sec > 0.0);
-        assert!(!r.cells.is_empty());
-        // And it still gates cleanly against itself.
-        assert!(compare(&r, &r).is_empty());
-    }
-
-    #[test]
-    fn v3_committed_baseline_still_parses() {
-        // BENCH_7.json is the last pre-sharding baseline (throughput but
-        // no scaling block); it is kept committed as a parser fixture for
-        // the v3 format after BENCH_8.json became the gated baseline.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
-        let text = std::fs::read_to_string(path).expect("committed BENCH_7.json");
-        let r = GateReport::from_json(&text).expect("v3 baseline parses");
-        assert_eq!((r.t_rh, r.epochs, r.seed), (1000, 1, 42));
-        assert!(r.throughput.is_some());
-        assert!(
-            r.scaling.is_none(),
-            "v3 baselines predate the scaling block"
-        );
-        assert!(!r.cells.is_empty());
-        // And it still gates cleanly against itself.
-        assert!(compare(&r, &r).is_empty());
-    }
-
-    #[test]
-    fn scaling_roundtrips_and_null_parses_as_none() {
-        let with = sample();
-        assert_eq!(GateReport::from_json(&with.to_json()).unwrap(), with);
-        let mut without = sample();
-        without.scaling = None;
-        let j = without.to_json();
+    fn scaling_block_is_required() {
+        let j = null_out(&sample().to_json(), "scaling");
         assert!(j.contains("\"scaling\": null"), "{j}");
-        assert_eq!(GateReport::from_json(&j).unwrap(), without);
+        let err = GateReport::from_json(&j).unwrap_err();
+        assert!(err.contains("scaling"), "{err}");
     }
 
     #[test]
@@ -1152,11 +747,8 @@ mod tests {
         assert!(compare(&base, &base).is_empty());
         // Collapse on a parallel host: fails and names the cell.
         let mut flat = base.clone();
-        {
-            let s = flat.scaling.as_mut().unwrap();
-            s.sharded_accesses_per_sec = s.single_accesses_per_sec * 1.1;
-            s.scaling_efficiency = 1.1;
-        }
+        flat.scaling.sharded_accesses_per_sec = flat.scaling.single_accesses_per_sec * 1.1;
+        flat.scaling.scaling_efficiency = 1.1;
         let failures = compare(&base, &flat);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("scaling"), "{failures:?}");
@@ -1164,12 +756,8 @@ mod tests {
         // The same flat numbers on a 1-core host are recorded, not gated:
         // four shards time-slicing one core cannot speed anything up.
         let mut starved = flat.clone();
-        starved.scaling.as_mut().unwrap().host_parallelism = 1;
+        starved.scaling.host_parallelism = 1;
         assert!(compare(&base, &starved).is_empty());
-        // A baseline or current without the block skips the gate entirely.
-        let mut old = base.clone();
-        old.scaling = None;
-        assert!(compare(&base, &old).is_empty());
     }
 
     #[test]

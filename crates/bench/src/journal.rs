@@ -31,8 +31,8 @@
 //! again. A torn final line (the crash happened mid-write) is skipped with
 //! a warning; when one key appears on several lines the last record wins.
 //!
-//! The workspace has no JSON dependency; records reuse the gate's
-//! recursive-descent parser ([`crate::gate::json`]) and hand-rolled
+//! The workspace has no JSON dependency; records use the shared
+//! recursive-descent parser ([`aqua_telemetry::json`]) and hand-rolled
 //! writers. Integers round-trip through `f64`, which is exact below
 //! 2^53 — far beyond any counter a simulated campaign produces (enforced
 //! in [`push_u64`]).
@@ -42,9 +42,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::gate::{json, push_json_str, JsonValue};
 use aqua_dram::Duration;
 use aqua_sim::RunReport;
+use aqua_telemetry::json::{self, JsonValue};
 
 /// Digest identifying one experiment cell across process restarts.
 ///
@@ -238,7 +238,7 @@ impl Journal {
     ) {
         let mut line = record_head(key, label, kind, retriable, attempts);
         line.push_str(",\"error\":");
-        push_json_str(&mut line, error);
+        json::push_str(&mut line, error);
         line.push('}');
         self.append_line(line);
     }
@@ -267,9 +267,9 @@ fn record_head(key: CellKey, label: &str, status: &str, retriable: bool, attempt
     let mut line = String::from("{\"v\":1,\"key\":\"");
     line.push_str(&key.hex());
     line.push_str("\",\"label\":");
-    push_json_str(&mut line, label);
+    json::push_str(&mut line, label);
     line.push_str(",\"status\":");
-    push_json_str(&mut line, status);
+    json::push_str(&mut line, status);
     let _ = std::fmt::Write::write_fmt(
         &mut line,
         format_args!(",\"retriable\":{retriable},\"attempts\":{attempts}"),
@@ -344,7 +344,7 @@ fn push_u64(out: &mut String, name: &str, v: u64) {
     if !out.ends_with('{') {
         out.push(',');
     }
-    push_json_str(out, name);
+    json::push_str(out, name);
     let _ = std::fmt::Write::write_fmt(out, format_args!(":{v}"));
 }
 
@@ -352,9 +352,9 @@ fn push_str_field(out: &mut String, name: &str, v: &str) {
     if !out.ends_with('{') {
         out.push(',');
     }
-    push_json_str(out, name);
+    json::push_str(out, name);
     out.push(':');
-    push_json_str(out, v);
+    json::push_str(out, v);
 }
 
 /// Encodes a [`RunReport`] as the compact v1 journal payload.

@@ -880,7 +880,7 @@ fn encode_matrix_outcome(cell: &(RunReport, Option<Telemetry>)) -> String {
 }
 
 fn decode_matrix_outcome(
-    value: &gate::JsonValue,
+    value: &aqua_telemetry::json::JsonValue,
 ) -> Result<(RunReport, Option<Telemetry>), String> {
     journal::report_from_json(value).map(|report| (report, None))
 }
@@ -1052,11 +1052,9 @@ mod tests {
         let hub_parallel = Telemetry::new(Default::default());
         small_matrix(1, Some(&hub_serial));
         small_matrix(4, Some(&hub_parallel));
-        if hub_serial.is_enabled() {
-            assert_eq!(hub_serial.summary(), hub_parallel.summary());
-            assert_eq!(hub_serial.epochs(), hub_parallel.epochs());
-            assert!(hub_serial.summary().unwrap().counter("sim.activations") > Some(0));
-        }
+        assert_eq!(hub_serial.summary(), hub_parallel.summary());
+        assert_eq!(hub_serial.epochs(), hub_parallel.epochs());
+        assert!(hub_serial.summary().unwrap().counter("sim.activations") > Some(0));
     }
 
     /// Hot-loop campaign regression: after the hasher/container swap and
@@ -1111,12 +1109,10 @@ mod tests {
         }
         let hub_serial = span_run(1);
         let hub_parallel = span_run(2);
-        if hub_serial.is_enabled() {
-            let spans_serial = format!("{:?}", hub_serial.spans());
-            let spans_parallel = format!("{:?}", hub_parallel.spans());
-            assert!(!hub_serial.spans().is_empty(), "no spans recorded");
-            assert_eq!(spans_serial.as_bytes(), spans_parallel.as_bytes());
-        }
+        let spans_serial = format!("{:?}", hub_serial.spans());
+        let spans_parallel = format!("{:?}", hub_parallel.spans());
+        assert!(!hub_serial.spans().is_empty(), "no spans recorded");
+        assert_eq!(spans_serial.as_bytes(), spans_parallel.as_bytes());
     }
 
     /// The tentpole's bench-level determinism contract: a 4-channel
@@ -1126,7 +1122,7 @@ mod tests {
     /// shard workers. Only wallclock may change with the worker count.
     #[test]
     fn shard_workers_one_two_eight_emit_byte_identical_artifacts() {
-        fn run(shard_workers: usize) -> (String, String, Option<String>, Vec<RunReport>) {
+        fn run(shard_workers: usize) -> (String, String, String, Vec<RunReport>) {
             let path = tmp_journal(&format!("shard-det-{shard_workers}"));
             let mut h = sim_harness(1); // serial matrix: isolate shard_workers
             h.base = h.base.with_channels(4);
@@ -1159,7 +1155,7 @@ mod tests {
                 .iter()
                 .map(|w| h.run_sharded("aqua-sram", |_| tiny_aqua_engine(&h.base), w, Some(&hub)))
                 .collect();
-            let spans = hub.is_enabled().then(|| format!("{:?}", hub.spans()));
+            let spans = format!("{:?}", hub.spans());
             (csv, journal_bytes, spans, aqua)
         }
         let one = run(1);
@@ -1167,9 +1163,7 @@ mod tests {
         assert_eq!(one, run(8));
         assert!(one.0.lines().count() > 1, "matrix produced no rows");
         assert!(!one.1.is_empty(), "journal recorded nothing");
-        if let Some(spans) = &one.2 {
-            assert!(!spans.is_empty(), "no spans recorded");
-        }
+        assert!(!one.2.is_empty(), "no spans recorded");
         // The AQUA leg exercised what it claims: every channel of every
         // cell dispatched its plan (2 epochs x 24 events x 4 channels x 2
         // workloads) and at least one bank passed through degraded mode.
@@ -1191,11 +1185,10 @@ mod tests {
     /// matrix CSV rows, checkpoint journal bytes, merged span and event
     /// dumps must be **byte-identical** whether or not a live plane is
     /// attached, at 1 and at 4 shard workers — the plane is an observer,
-    /// never a participant. Runs in both telemetry feature modes (with the
-    /// feature off the plane serves but publishes nothing).
+    /// never a participant.
     #[test]
     fn metrics_plane_never_changes_deterministic_artifacts() {
-        fn run(with_plane: bool, shard_workers: usize) -> (String, String, Option<String>) {
+        fn run(with_plane: bool, shard_workers: usize) -> (String, String, String) {
             let path = tmp_journal(&format!("plane-det-{with_plane}-{shard_workers}"));
             let mut h = sim_harness(1); // serial matrix: isolate the plane
             h.base = h.base.with_channels(4);
@@ -1225,19 +1218,14 @@ mod tests {
             }
             let journal_bytes = std::fs::read_to_string(&path).unwrap();
             std::fs::remove_file(&path).unwrap();
-            let dumps = hub
-                .is_enabled()
-                .then(|| format!("{:?}{:?}", hub.spans(), hub.trace_events()));
+            let dumps = format!("{:?}{:?}", hub.spans(), hub.trace_events());
             if let Some(plane) = &h.metrics {
                 // The observer actually observed: per-channel shard
-                // snapshots landed on the board (feature-on only; with
-                // telemetry compiled out there is nothing to publish).
-                if hub.is_enabled() {
-                    assert!(
-                        plane.aggregate_counter("sim.requests") > 0,
-                        "plane saw no published snapshots"
-                    );
-                }
+                // snapshots landed on the board.
+                assert!(
+                    plane.aggregate_counter("sim.requests") > 0,
+                    "plane saw no published snapshots"
+                );
                 plane.shutdown();
             }
             (csv, journal_bytes, dumps)
@@ -1261,9 +1249,6 @@ mod tests {
             events_per_epoch: 24,
         });
         let hub = Telemetry::new(Default::default());
-        if !hub.is_enabled() {
-            return; // feature off: no counters, no ring, nothing to alert on
-        }
         let mut fired = 0;
         for w in ["povray", "namd", "leela"] {
             let fork = hub.fork();
@@ -1344,16 +1329,14 @@ mod tests {
             degraded > 0,
             "no degraded-mode epochs; raise the fault rate"
         );
-        if hub_serial.is_enabled() {
-            let serial = hub_serial.summary().unwrap();
-            assert_eq!(Some(&serial), hub_parallel.summary().as_ref());
-            assert!(serial.spans_recorded > 0, "no spans crossed the merge");
-            assert!(
-                serial.histogram("span.sim.mitigation").is_some(),
-                "merged span stats must keep per-name histograms"
-            );
-            assert!(serial.counter("aqua.faults_injected") > Some(0));
-        }
+        let serial = hub_serial.summary().unwrap();
+        assert_eq!(Some(&serial), hub_parallel.summary().as_ref());
+        assert!(serial.spans_recorded > 0, "no spans crossed the merge");
+        assert!(
+            serial.histogram("span.sim.mitigation").is_some(),
+            "merged span stats must keep per-name histograms"
+        );
+        assert!(serial.counter("aqua.faults_injected") > Some(0));
     }
 
     #[test]

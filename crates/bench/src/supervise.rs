@@ -32,9 +32,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::gate::JsonValue;
 use crate::journal::{CellKey, Journal};
 use crate::pool;
+use aqua_telemetry::json::JsonValue;
 use aqua_telemetry::{EventKind, MetricsPlane, Telemetry};
 
 /// Why an experiment cell has no trustworthy result.
@@ -482,7 +482,7 @@ mod tests {
         }
         fn dec(v: &JsonValue) -> Result<u32, String> {
             v.as_obj()
-                .and_then(|o| crate::gate::json::get(o, "value"))
+                .and_then(|o| aqua_telemetry::json::get(o, "value"))
                 .and_then(JsonValue::as_f64)
                 .map(|f| f as u32)
                 .ok_or_else(|| "bad payload".into())
@@ -660,19 +660,17 @@ mod tests {
             v
         });
         assert_eq!(out.len(), 3);
-        if hub.is_enabled() {
-            let summary = hub.summary().unwrap();
-            assert_eq!(summary.counter("bench.retries"), Some(1));
-            let events: Vec<_> = hub
-                .trace_events()
-                .into_iter()
-                .filter(|e| matches!(e.kind, EventKind::RetryAttempt { .. }))
-                .collect();
-            assert_eq!(events.len(), 1);
-            assert_eq!(
-                events[0].kind,
-                EventKind::RetryAttempt { job: 1, attempt: 2 }
-            );
-        }
+        let summary = hub.summary().unwrap();
+        assert_eq!(summary.counter("bench.retries"), Some(1));
+        let events: Vec<_> = hub
+            .trace_events()
+            .into_iter()
+            .filter(|e| matches!(e.kind, EventKind::RetryAttempt { .. }))
+            .collect();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            events[0].kind,
+            EventKind::RetryAttempt { job: 1, attempt: 2 }
+        );
     }
 }

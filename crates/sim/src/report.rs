@@ -41,8 +41,8 @@ pub struct RunReport {
     /// `faults.unaccounted` must be zero in every run: a corruption that is
     /// neither recovered, counted, nor dormant escaped silently.
     pub faults: FaultReport,
-    /// End-of-run telemetry snapshot (`None` when no telemetry hub was
-    /// attached or the `telemetry` feature is disabled).
+    /// End-of-run telemetry snapshot (`None` when no hub, or a disabled
+    /// one, was attached).
     pub telemetry: Option<TelemetrySummary>,
 }
 

@@ -1127,7 +1127,18 @@ mod tests {
         assert_eq!(plain.run(), wired.run());
     }
 
-    #[cfg(feature = "telemetry")]
+    #[test]
+    fn attaching_a_detached_hub_changes_nothing() {
+        let mk = || Box::new(Hammer::double_sided(&space(), 0, 100)) as Box<dyn RequestGenerator>;
+        let mut plain = Simulation::new(sim_config(1000), aqua_engine(1000), [mk()]);
+        let mut detached = Simulation::new(sim_config(1000), aqua_engine(1000), [mk()]);
+        detached.attach_telemetry(Telemetry::disabled());
+        let report = detached.run();
+        assert!(report.mitigation.row_migrations > 0);
+        assert!(report.telemetry.is_none());
+        assert_eq!(plain.run(), report);
+    }
+
     #[test]
     fn migration_lifecycle_emits_nested_spans() {
         use aqua_telemetry::{Telemetry, TelemetryConfig};
@@ -1278,15 +1289,13 @@ mod tests {
         // Escalation never changes simulated results.
         assert_eq!(slow.requests_done, plain.requests_done);
         assert_eq!(slow.mitigation, plain.mitigation);
-        if hub.is_enabled() {
-            let summary = hub.summary().unwrap();
-            // Fires exactly once per run, even though many serves follow.
-            assert_eq!(summary.counter("sim.straggler_reports"), Some(1));
-            assert!(hub
-                .trace_events()
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::StragglerReport { .. })));
-        }
+        let summary = hub.summary().unwrap();
+        // Fires exactly once per run, even though many serves follow.
+        assert_eq!(summary.counter("sim.straggler_reports"), Some(1));
+        assert!(hub
+            .trace_events()
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::StragglerReport { .. })));
     }
 
     #[test]

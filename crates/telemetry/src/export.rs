@@ -51,7 +51,7 @@ where
             w,
             "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":1,\"args\":{}}}",
             name,
-            json::num(ps_to_us(ev.ts_ps)),
+            json::num_trimmed(ps_to_us(ev.ts_ps)),
             ev.kind.args_json()
         )?;
     }
@@ -71,8 +71,8 @@ where
             "{{\"name\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":1,\
              \"args\":{{\"id\":{},\"parent\":{}}}}}",
             name,
-            json::num(ps_to_us(s.start_ps)),
-            json::num(ps_to_us(s.duration_ps())),
+            json::num_trimmed(ps_to_us(s.start_ps)),
+            json::num_trimmed(ps_to_us(s.duration_ps())),
             s.id,
             parent
         )?;
@@ -139,15 +139,15 @@ pub fn write_epochs_jsonl<W: Write>(w: &mut W, series: &EpochSeries) -> io::Resu
             r.mitigations_triggered,
             r.victim_refreshes,
             r.throttled,
-            json::num(r.data_busy_frac),
-            json::num(r.migration_busy_frac),
-            json::num(r.table_busy_frac),
+            json::num_trimmed(r.data_busy_frac),
+            json::num_trimmed(r.migration_busy_frac),
+            json::num_trimmed(r.table_busy_frac),
         );
         for (name, v) in &r.gauges {
             line.push(',');
             json::push_str(&mut line, name);
             line.push(':');
-            line.push_str(&json::num(*v));
+            line.push_str(&json::num_trimmed(*v));
         }
         line.push('}');
         writeln!(w, "{line}")?;
@@ -169,10 +169,10 @@ pub fn write_histogram_jsonl<W: Write>(
     line.push_str(&format!(
         ",\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{},\"buckets\":[",
         s.count,
-        json::num(s.mean),
-        json::num(s.p50),
-        json::num(s.p95),
-        json::num(s.p99),
+        json::num_trimmed(s.mean),
+        json::num_trimmed(s.p50),
+        json::num_trimmed(s.p95),
+        json::num_trimmed(s.p99),
         s.max
     ));
     let mut first = true;

@@ -232,7 +232,7 @@ impl MetricsPlane {
         push_type(&mut out, &mut typed, "aqua_uptime_seconds", "gauge");
         out.push_str(&format!(
             "aqua_uptime_seconds {}\n",
-            json::num(self.started.elapsed().as_secs_f64())
+            json::num_trimmed(self.started.elapsed().as_secs_f64())
         ));
         push_type(&mut out, &mut typed, "aqua_scrapes_total", "counter");
         out.push_str(&format!(
@@ -275,7 +275,7 @@ impl MetricsPlane {
             for (name, v) in &snap.summary.gauges {
                 let metric = format!("aqua_{}", sanitize(name));
                 push_type(&mut out, &mut typed, &metric, "gauge");
-                out.push_str(&format!("{metric}{label} {}\n", json::num(*v)));
+                out.push_str(&format!("{metric}{label} {}\n", json::num_trimmed(*v)));
             }
             // Registered histograms render from full bucket data (exact
             // sums); folded span.* stats render from their summaries.
@@ -290,7 +290,7 @@ impl MetricsPlane {
                     out.push_str(&format!(
                         "{metric}{{source=\"{}\",quantile=\"{q}\"}} {}\n",
                         escape_label(source),
-                        json::num(v)
+                        json::num_trimmed(v)
                     ));
                 }
                 out.push_str(&format!(
@@ -336,7 +336,7 @@ impl MetricsPlane {
                 out.push_str(&format!(
                     "aqua_channel_imbalance_ratio{{cell=\"{}\"}} {}\n",
                     escape_label(cell),
-                    json::num(ratio)
+                    json::num_trimmed(ratio)
                 ));
             }
         }
@@ -382,8 +382,8 @@ impl MetricsPlane {
             json::push_str(&mut out, &a.rule);
             out.push_str(&format!(
                 ",\"value\":{},\"threshold\":{},\"host_time\":{},\"source\":",
-                json::num(a.value),
-                json::num(a.threshold),
+                json::num_trimmed(a.value),
+                json::num_trimmed(a.threshold),
                 a.host_time
             ));
             json::push_str(&mut out, &a.source);
@@ -404,7 +404,7 @@ impl MetricsPlane {
                 snap.counter("sim.integrity_escapes").unwrap_or(0),
                 snap.counter("sim.degraded_epochs").unwrap_or(0),
                 snap.summary.epochs_recorded,
-                json::num(snap.rate_per_sec("sim.requests"))
+                json::num_trimmed(snap.rate_per_sec("sim.requests"))
             ));
         }
         out.push_str("}}");
@@ -542,11 +542,9 @@ mod tests {
     fn serves_metrics_and_healthz_over_http() {
         let p = plane();
         let hub = Telemetry::new(TelemetryConfig::default());
-        if hub.is_enabled() {
-            hub.counter("sim.requests").add(42);
-            let snap = SnapshotTracker::new().capture(&hub).unwrap();
-            p.publish("aqua-sram/mcf;ch0", snap);
-        }
+        hub.counter("sim.requests").add(42);
+        let snap = SnapshotTracker::new().capture(&hub).unwrap();
+        p.publish("aqua-sram/mcf;ch0", snap);
         p.update_cells(|c| {
             c.total = 4;
             c.in_flight = 2;
@@ -556,16 +554,14 @@ mod tests {
         assert!(head.contains("text/plain"), "{head}");
         assert!(body.contains("aqua_up 1"), "{body}");
         assert!(body.contains("aqua_cells_in_flight 2"), "{body}");
-        if hub.is_enabled() {
-            assert!(
-                body.contains("aqua_sim_requests_total{source=\"aqua-sram/mcf;ch0\"} 42"),
-                "{body}"
-            );
-            assert!(
-                body.contains("# TYPE aqua_sim_requests_total counter"),
-                "{body}"
-            );
-        }
+        assert!(
+            body.contains("aqua_sim_requests_total{source=\"aqua-sram/mcf;ch0\"} 42"),
+            "{body}"
+        );
+        assert!(
+            body.contains("# TYPE aqua_sim_requests_total counter"),
+            "{body}"
+        );
         let (head, body) = get(p.local_addr(), "/healthz");
         assert!(head.contains("application/json"), "{head}");
         assert!(body.starts_with("{\"status\":\"ok\""), "{body}");
@@ -580,26 +576,24 @@ mod tests {
     fn channel_rollups_compute_imbalance() {
         let p = plane();
         let hub = Telemetry::new(TelemetryConfig::default());
-        if hub.is_enabled() {
-            let c = hub.counter("sim.requests");
-            c.add(100);
-            let mut t = SnapshotTracker::new();
-            p.publish("aqua-sram/mcf;ch0", t.capture(&hub).unwrap());
-            c.add(300); // total 400 on ch1
-            p.publish(
-                "aqua-sram/mcf;ch1",
-                SnapshotTracker::new().capture(&hub).unwrap(),
-            );
-            let body = p.render_metrics();
-            assert!(
-                body.contains("aqua_channel_requests{cell=\"aqua-sram/mcf\",channel=\"0\"} 100"),
-                "{body}"
-            );
-            assert!(
-                body.contains("aqua_channel_imbalance_ratio{cell=\"aqua-sram/mcf\"} 4"),
-                "{body}"
-            );
-        }
+        let c = hub.counter("sim.requests");
+        c.add(100);
+        let mut t = SnapshotTracker::new();
+        p.publish("aqua-sram/mcf;ch0", t.capture(&hub).unwrap());
+        c.add(300); // total 400 on ch1
+        p.publish(
+            "aqua-sram/mcf;ch1",
+            SnapshotTracker::new().capture(&hub).unwrap(),
+        );
+        let body = p.render_metrics();
+        assert!(
+            body.contains("aqua_channel_requests{cell=\"aqua-sram/mcf\",channel=\"0\"} 100"),
+            "{body}"
+        );
+        assert!(
+            body.contains("aqua_channel_imbalance_ratio{cell=\"aqua-sram/mcf\"} 4"),
+            "{body}"
+        );
         p.shutdown();
     }
 

@@ -1,31 +1,26 @@
 //! The shared telemetry hub and its metric handles.
 //!
 //! [`Telemetry`] is the cheap-to-clone handle every simulator layer holds.
-//! With the `enabled` cargo feature the handles feed shared atomics, the
-//! bounded ring trace, histograms, and the epoch series. With the feature
-//! off, [`Telemetry`] is a zero-sized type: [`Counter`] / [`Gauge`] degrade
-//! to plain local cells (a bare `u64` increment on the hot path) and every
-//! trace/histogram/epoch call compiles to nothing.
+//! A live hub ([`Telemetry::new`]) feeds shared atomics, the bounded ring
+//! trace, histograms, the span stack, and the epoch series.
+//!
+//! There is one off-switch: attach no hub, or attach
+//! [`Telemetry::disabled`] (also the `Default`). A detached handle holds no
+//! hub, and every hot-path entry point — [`Telemetry::record`], the span
+//! openers, [`Telemetry::phase`], and the guards' closers — is an inlined
+//! "is there a hub?" test in front of an out-of-line body, so an
+//! instrumented call site on a detached handle costs one predictable
+//! branch: no call, no lock, no clock read.
 
 use crate::epoch::{EpochRecord, EpochSeries};
-use crate::event::EventKind;
+use crate::event::{Event, EventKind};
+use crate::hist::HistogramData;
+use crate::ring::RingBuffer;
 use crate::span::Span;
 use crate::summary::TelemetrySummary;
-
-#[cfg(feature = "enabled")]
 use crate::wallclock::{WallProfile, WallclockSummary};
-
-#[cfg(feature = "enabled")]
-use crate::event::Event;
-#[cfg(feature = "enabled")]
-use crate::hist::HistogramData;
-#[cfg(feature = "enabled")]
-use crate::ring::RingBuffer;
-#[cfg(feature = "enabled")]
 use std::collections::BTreeMap;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Arc, Mutex};
 
 /// Construction-time options for a telemetry hub.
@@ -49,11 +44,6 @@ impl Default for TelemetryConfig {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Feature ON: shared hub.
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "enabled")]
 struct Inner {
     cfg: TelemetryConfig,
     counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
@@ -75,7 +65,6 @@ struct Inner {
     spec_next: AtomicU64,
 }
 
-#[cfg(feature = "enabled")]
 impl Inner {
     /// Materializes the armed speculative span, if any, under the spans
     /// lock the caller already holds: assigns it the next span id *before*
@@ -87,12 +76,7 @@ impl Inner {
         {
             return;
         }
-        let id = sp.next_id;
-        sp.next_id += 1;
-        let parent = sp.stack.last().map(|o| o.id);
-        if let Some(top) = sp.stack.last_mut() {
-            top.used = true;
-        }
+        let (id, parent) = sp.next_child();
         sp.stack.push(OpenSpan {
             id,
             parent,
@@ -100,10 +84,154 @@ impl Inner {
         });
         self.spec_id.store(id, Ordering::Relaxed);
     }
+
+    // The live-hub halves of the hot-path entry points. Each is kept out of
+    // line so that the inlined wrapper a detached handle runs is only the
+    // `inner.is_some()` test.
+
+    #[inline(never)]
+    fn record(&self, ts_ps: u64, kind: EventKind) {
+        if matches!(kind, EventKind::Activate { .. }) && !self.cfg.trace_activates {
+            return;
+        }
+        self.trace.lock().unwrap().push(Event { ts_ps, kind });
+    }
+
+    #[inline(never)]
+    fn span_start(this: &Arc<Inner>, name: &'static str, start_ps: u64) -> ActiveSpan {
+        let mut sp = this.spans.lock().unwrap();
+        this.materialize_speculative(&mut sp);
+        let (id, parent) = sp.next_child();
+        sp.stack.push(OpenSpan {
+            id,
+            parent,
+            used: false,
+        });
+        ActiveSpan {
+            inner: Some(Arc::clone(this)),
+            id,
+            name,
+            start_ps,
+        }
+    }
+
+    #[inline(never)]
+    fn span_speculate(this: &Arc<Inner>, name: &'static str, start_ps: u64) -> SpeculativeSpan {
+        let token = this.spec_next.fetch_add(1, Ordering::Relaxed);
+        let stale = this.spec_id.swap(0, Ordering::Relaxed);
+        if stale != 0 {
+            // The previously armed speculative span materialized but was
+            // never closed. Drop it from the causal stack now so it cannot
+            // corrupt the parentage of everything opened after it.
+            this.spans.lock().unwrap().remove_open(stale);
+        }
+        this.spec_token.store(token, Ordering::Relaxed);
+        SpeculativeSpan {
+            inner: Some(Arc::clone(this)),
+            token,
+            name,
+            start_ps,
+        }
+    }
+
+    #[inline(never)]
+    fn span_record(&self, name: &'static str, start_ps: u64, end_ps: u64) {
+        let mut sp = self.spans.lock().unwrap();
+        self.materialize_speculative(&mut sp);
+        let (id, parent) = sp.next_child();
+        sp.commit(id, parent, name, start_ps, end_ps);
+    }
+
+    #[inline(never)]
+    fn phase(this: &Arc<Inner>, name: &'static str) -> PhaseGuard {
+        let mut w = this.wall.lock().unwrap();
+        let token = w.next_token;
+        w.next_token += 1;
+        w.stack.push(OpenPhase {
+            token,
+            name,
+            start: std::time::Instant::now(),
+            child_ns: 0,
+        });
+        PhaseGuard {
+            inner: Some(Arc::clone(this)),
+            token,
+        }
+    }
+
+    /// Closes the [`ActiveSpan`] `id`, committing it when `end_ps` is given
+    /// (and, under `require_used`, only if a child attached).
+    #[inline(never)]
+    fn close_span(
+        this: Arc<Inner>,
+        id: u64,
+        name: &'static str,
+        start_ps: u64,
+        end_ps: Option<u64>,
+        require_used: bool,
+    ) {
+        let mut sp = this.spans.lock().unwrap();
+        let Some(open) = sp.remove_open(id) else {
+            return;
+        };
+        let Some(end_ps) = end_ps else {
+            return;
+        };
+        if require_used && !open.used {
+            return;
+        }
+        sp.commit(id, open.parent, name, start_ps, end_ps);
+    }
+
+    /// Closes the [`SpeculativeSpan`] armed with `token`, with the same
+    /// commit rules as [`Inner::close_span`].
+    #[inline(never)]
+    fn close_speculative(
+        this: Arc<Inner>,
+        token: u64,
+        name: &'static str,
+        start_ps: u64,
+        end_ps: Option<u64>,
+        require_used: bool,
+    ) {
+        // Disarm the slot — but only if it is still ours. A later
+        // span_speculate supersedes this guard (and already cleaned up any
+        // materialized residue), so a failed exchange means no-op.
+        if this
+            .spec_token
+            .compare_exchange(token, 0, Ordering::Relaxed, Ordering::Relaxed)
+            .is_err()
+        {
+            return;
+        }
+        let id = this.spec_id.swap(0, Ordering::Relaxed);
+        if id == 0 {
+            // Never materialized: nothing is on the stack. A conditional
+            // close or a cancel discards for free; an unconditional end
+            // commits as a leaf now (equivalent to span_record).
+            if let (Some(end_ps), false) = (end_ps, require_used) {
+                this.span_record(name, start_ps, end_ps);
+            }
+            return;
+        }
+        // Materialized, which implies a child attached ("used"), so both
+        // end() and end_if_used() commit; only cancel discards.
+        let mut sp = this.spans.lock().unwrap();
+        let Some(open) = sp.remove_open(id) else {
+            return;
+        };
+        if let Some(end_ps) = end_ps {
+            sp.commit(id, open.parent, name, start_ps, end_ps);
+        }
+    }
+
+    #[inline(never)]
+    fn close_phase(this: Arc<Inner>, token: u64) {
+        this.wall.lock().unwrap().close(token);
+    }
 }
 
 /// A wallclock phase currently open on the hub's phase stack.
-#[cfg(feature = "enabled")]
 struct OpenPhase {
     token: u64,
     name: &'static str,
@@ -115,14 +243,12 @@ struct OpenPhase {
 /// All mutable wallclock-profiling state, behind one lock so open/close
 /// stay atomic. Unlike [`SpanTrack`] this measures *host* nanoseconds via
 /// `Instant`, not simulated picoseconds.
-#[cfg(feature = "enabled")]
 struct WallTrack {
     profile: WallProfile,
     stack: Vec<OpenPhase>,
     next_token: u64,
 }
 
-#[cfg(feature = "enabled")]
 impl WallTrack {
     fn new() -> Self {
         WallTrack {
@@ -158,7 +284,6 @@ impl WallTrack {
 }
 
 /// A span currently open on the hub's causal stack.
-#[cfg(feature = "enabled")]
 struct OpenSpan {
     id: u64,
     parent: Option<u64>,
@@ -170,7 +295,6 @@ struct OpenSpan {
 }
 
 /// All mutable span state, behind one lock so begin/end stay atomic.
-#[cfg(feature = "enabled")]
 struct SpanTrack {
     ring: RingBuffer<Span>,
     stack: Vec<OpenSpan>,
@@ -179,7 +303,6 @@ struct SpanTrack {
     stats: BTreeMap<&'static str, HistogramData>,
 }
 
-#[cfg(feature = "enabled")]
 impl SpanTrack {
     fn new(capacity: usize) -> Self {
         SpanTrack {
@@ -192,21 +315,55 @@ impl SpanTrack {
 
     /// Removes the innermost open entry with `id` (spans normally close
     /// LIFO; searching from the top tolerates out-of-order ends).
+    /// Takes the next span id for a child of the innermost open span, and
+    /// marks that span used.
+    fn next_child(&mut self) -> (u64, Option<u64>) {
+        let id = self.next_id;
+        self.next_id += 1;
+        let parent = self.stack.last().map(|o| o.id);
+        if let Some(top) = self.stack.last_mut() {
+            top.used = true;
+        }
+        (id, parent)
+    }
+
     fn remove_open(&mut self, id: u64) -> Option<OpenSpan> {
         let idx = self.stack.iter().rposition(|o| o.id == id)?;
         Some(self.stack.remove(idx))
     }
+
+    /// Records a completed span (its end clamped to its start) in the ring
+    /// and its name's duration histogram.
+    fn commit(
+        &mut self,
+        id: u64,
+        parent: Option<u64>,
+        name: &'static str,
+        start_ps: u64,
+        end_ps: u64,
+    ) {
+        let span = Span {
+            id,
+            parent,
+            name,
+            start_ps,
+            end_ps: end_ps.max(start_ps),
+        };
+        self.stats
+            .entry(name)
+            .or_default()
+            .record(span.duration_ps());
+        self.ring.push(span);
+    }
 }
 
-/// Cheap-to-clone handle to the telemetry hub (or to nothing, when
-/// constructed via [`Telemetry::disabled`] or with the feature off).
-#[cfg(feature = "enabled")]
+/// Cheap-to-clone handle to the telemetry hub, or to nothing when
+/// constructed via [`Telemetry::disabled`] (the `Default`).
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
 }
 
-#[cfg(feature = "enabled")]
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
@@ -215,7 +372,6 @@ impl std::fmt::Debug for Telemetry {
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Telemetry {
     /// Creates an active hub.
     pub fn new(cfg: TelemetryConfig) -> Self {
@@ -390,12 +546,10 @@ impl Telemetry {
     ///
     /// `Activate` events are filtered out unless
     /// [`TelemetryConfig::trace_activates`] was set.
+    #[inline]
     pub fn record(&self, ts_ps: u64, kind: EventKind) {
         if let Some(i) = &self.inner {
-            if matches!(kind, EventKind::Activate { .. }) && !i.cfg.trace_activates {
-                return;
-            }
-            i.trace.lock().unwrap().push(Event { ts_ps, kind });
+            i.record(ts_ps, kind);
         }
     }
 
@@ -407,33 +561,16 @@ impl Telemetry {
     /// [`ActiveSpan::end_if_used`] (commit only if a child attached).
     /// Dropping the guard without ending it cancels the span, so early
     /// returns never wedge the stack.
+    #[inline]
     pub fn span_start(&self, name: &'static str, start_ps: u64) -> ActiveSpan {
-        let Some(i) = &self.inner else {
-            return ActiveSpan {
+        match &self.inner {
+            Some(i) => Inner::span_start(i, name, start_ps),
+            None => ActiveSpan {
                 inner: None,
                 id: 0,
                 name,
                 start_ps,
-            };
-        };
-        let mut sp = i.spans.lock().unwrap();
-        i.materialize_speculative(&mut sp);
-        let id = sp.next_id;
-        sp.next_id += 1;
-        let parent = sp.stack.last().map(|o| o.id);
-        if let Some(top) = sp.stack.last_mut() {
-            top.used = true;
-        }
-        sp.stack.push(OpenSpan {
-            id,
-            parent,
-            used: false,
-        });
-        ActiveSpan {
-            inner: Some(Arc::clone(i)),
-            id,
-            name,
-            start_ps,
+            },
         }
     }
 
@@ -452,29 +589,16 @@ impl Telemetry {
     /// second before closing the first discards the first (closing a
     /// superseded guard is a no-op). This mirrors the hub's single causal
     /// stack: speculative spans are for serial hot loops, not concurrency.
+    #[inline]
     pub fn span_speculate(&self, name: &'static str, start_ps: u64) -> SpeculativeSpan {
-        let Some(i) = &self.inner else {
-            return SpeculativeSpan {
+        match &self.inner {
+            Some(i) => Inner::span_speculate(i, name, start_ps),
+            None => SpeculativeSpan {
                 inner: None,
                 token: 0,
                 name,
                 start_ps,
-            };
-        };
-        let token = i.spec_next.fetch_add(1, Ordering::Relaxed);
-        let stale = i.spec_id.swap(0, Ordering::Relaxed);
-        if stale != 0 {
-            // The previously armed speculative span materialized but was
-            // never closed. Drop it from the causal stack now so it cannot
-            // corrupt the parentage of everything opened after it.
-            i.spans.lock().unwrap().remove_open(stale);
-        }
-        i.spec_token.store(token, Ordering::Relaxed);
-        SpeculativeSpan {
-            inner: Some(Arc::clone(i)),
-            token,
-            name,
-            start_ps,
+            },
         }
     }
 
@@ -486,27 +610,11 @@ impl Telemetry {
     /// bracket an interval already known to be over (queue waits, bank
     /// blocks, per-action migration windows) use this to halve their lock
     /// traffic versus the open/close guard pair.
+    #[inline]
     pub fn span_record(&self, name: &'static str, start_ps: u64, end_ps: u64) {
-        let Some(i) = &self.inner else {
-            return;
-        };
-        let mut sp = i.spans.lock().unwrap();
-        i.materialize_speculative(&mut sp);
-        let id = sp.next_id;
-        sp.next_id += 1;
-        let parent = sp.stack.last().map(|o| o.id);
-        if let Some(top) = sp.stack.last_mut() {
-            top.used = true;
+        if let Some(i) = &self.inner {
+            i.span_record(name, start_ps, end_ps);
         }
-        let span = Span {
-            id,
-            parent,
-            name,
-            start_ps,
-            end_ps: end_ps.max(start_ps),
-        };
-        sp.stats.entry(name).or_default().record(span.duration_ps());
-        sp.ring.push(span);
     }
 
     /// Opens a host-wallclock phase named `name` and returns the guard that
@@ -519,25 +627,14 @@ impl Telemetry {
     /// job batch) — each open/close takes a lock and reads `Instant`, so
     /// never put one on a per-access path. On a disabled handle this reads
     /// no clock and takes no lock.
+    #[inline]
     pub fn phase(&self, name: &'static str) -> PhaseGuard {
-        let Some(i) = &self.inner else {
-            return PhaseGuard {
+        match &self.inner {
+            Some(i) => Inner::phase(i, name),
+            None => PhaseGuard {
                 inner: None,
                 token: 0,
-            };
-        };
-        let mut w = i.wall.lock().unwrap();
-        let token = w.next_token;
-        w.next_token += 1;
-        w.stack.push(OpenPhase {
-            token,
-            name,
-            start: std::time::Instant::now(),
-            child_ns: 0,
-        });
-        PhaseGuard {
-            inner: Some(Arc::clone(i)),
-            token,
+            },
         }
     }
 
@@ -645,11 +742,9 @@ impl Telemetry {
 }
 
 /// Monotone counter handle (shared atomic when live).
-#[cfg(feature = "enabled")]
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Option<Arc<AtomicU64>>);
 
-#[cfg(feature = "enabled")]
 impl Counter {
     /// Adds one.
     #[inline]
@@ -675,11 +770,9 @@ impl Counter {
 }
 
 /// Last-value gauge handle (shared atomic `f64` bits when live).
-#[cfg(feature = "enabled")]
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Option<Arc<AtomicU64>>);
 
-#[cfg(feature = "enabled")]
 impl Gauge {
     /// Overwrites the gauge value.
     #[inline]
@@ -699,11 +792,9 @@ impl Gauge {
 }
 
 /// Histogram recording handle (shared when live).
-#[cfg(feature = "enabled")]
 #[derive(Clone, Debug, Default)]
 pub struct Histogram(Option<Arc<Mutex<HistogramData>>>);
 
-#[cfg(feature = "enabled")]
 impl Histogram {
     /// Records one sample.
     #[inline]
@@ -744,27 +835,13 @@ impl Histogram {
     pub fn p99(&self) -> f64 {
         self.percentile(0.99)
     }
-}
 
-/// Shared [`Histogram`] surface. Exactly one `Histogram` type exists per
-/// compilation (shared handle with the `enabled` feature, ZST without), so
-/// this single ungated impl serves both modes — snapshotting logic lives
-/// here once instead of in two near-identical gated copies.
-impl Histogram {
-    /// Snapshot of the underlying data (empty for detached handles, and
-    /// always empty with the feature off).
-    pub fn snapshot(&self) -> crate::hist::HistogramData {
-        #[cfg(feature = "enabled")]
-        {
-            self.0
-                .as_ref()
-                .map(|h| h.lock().unwrap().clone())
-                .unwrap_or_default()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            crate::hist::HistogramData::new()
-        }
+    /// Snapshot of the underlying data (empty for detached handles).
+    pub fn snapshot(&self) -> HistogramData {
+        self.0
+            .as_ref()
+            .map(|h| h.lock().unwrap().clone())
+            .unwrap_or_default()
     }
 }
 
@@ -773,7 +850,6 @@ impl Histogram {
 /// Exactly one of [`ActiveSpan::end`], [`ActiveSpan::end_if_used`], or
 /// [`ActiveSpan::cancel`] should close it; dropping the guard unclosed is
 /// equivalent to `cancel` (nothing is recorded).
-#[cfg(feature = "enabled")]
 #[must_use = "bind the span and close it with end()/end_if_used()/cancel()"]
 pub struct ActiveSpan {
     inner: Option<Arc<Inner>>,
@@ -782,7 +858,6 @@ pub struct ActiveSpan {
     start_ps: u64,
 }
 
-#[cfg(feature = "enabled")]
 impl std::fmt::Debug for ActiveSpan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ActiveSpan")
@@ -793,7 +868,6 @@ impl std::fmt::Debug for ActiveSpan {
     }
 }
 
-#[cfg(feature = "enabled")]
 impl ActiveSpan {
     /// Hub-unique id of this span (0 when the hub is disabled).
     pub fn id(&self) -> u64 {
@@ -801,52 +875,34 @@ impl ActiveSpan {
     }
 
     /// Commits the span, ending at `end_ps` (clamped to the start time).
+    #[inline]
     pub fn end(mut self, end_ps: u64) {
         self.close(Some(end_ps), false);
     }
 
     /// Commits the span only if a child span attached while it was open;
     /// discards it otherwise.
+    #[inline]
     pub fn end_if_used(mut self, end_ps: u64) {
         self.close(Some(end_ps), true);
     }
 
     /// Discards the span without recording anything.
+    #[inline]
     pub fn cancel(mut self) {
         self.close(None, false);
     }
 
+    #[inline]
     fn close(&mut self, end_ps: Option<u64>, require_used: bool) {
-        let Some(i) = self.inner.take() else {
-            return;
-        };
-        let mut sp = i.spans.lock().unwrap();
-        let Some(open) = sp.remove_open(self.id) else {
-            return;
-        };
-        let Some(end_ps) = end_ps else {
-            return;
-        };
-        if require_used && !open.used {
-            return;
+        if let Some(i) = self.inner.take() {
+            Inner::close_span(i, self.id, self.name, self.start_ps, end_ps, require_used);
         }
-        let span = Span {
-            id: self.id,
-            parent: open.parent,
-            name: self.name,
-            start_ps: self.start_ps,
-            end_ps: end_ps.max(self.start_ps),
-        };
-        sp.stats
-            .entry(self.name)
-            .or_default()
-            .record(span.duration_ps());
-        sp.ring.push(span);
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for ActiveSpan {
+    #[inline]
     fn drop(&mut self) {
         self.close(None, false);
     }
@@ -858,7 +914,6 @@ impl Drop for ActiveSpan {
 /// [`SpeculativeSpan::end_if_used`] commits only if a child attached (and
 /// for a span that never materialized this touches no lock at all),
 /// [`SpeculativeSpan::cancel`] and dropping the guard discard it.
-#[cfg(feature = "enabled")]
 #[must_use = "bind the span and close it with end()/end_if_used()/cancel()"]
 pub struct SpeculativeSpan {
     inner: Option<Arc<Inner>>,
@@ -867,7 +922,6 @@ pub struct SpeculativeSpan {
     start_ps: u64,
 }
 
-#[cfg(feature = "enabled")]
 impl std::fmt::Debug for SpeculativeSpan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpeculativeSpan")
@@ -878,10 +932,10 @@ impl std::fmt::Debug for SpeculativeSpan {
     }
 }
 
-#[cfg(feature = "enabled")]
 impl SpeculativeSpan {
     /// Commits the span, ending at `end_ps` (clamped to the start time).
     /// If it never materialized it commits as a leaf, taking the lock once.
+    #[inline]
     pub fn end(mut self, end_ps: u64) {
         self.close(Some(end_ps), false);
     }
@@ -890,69 +944,34 @@ impl SpeculativeSpan {
     /// discards it otherwise — without locking, which makes this the
     /// free-when-quiet closer hot loops pair with
     /// [`Telemetry::span_speculate`].
+    #[inline]
     pub fn end_if_used(mut self, end_ps: u64) {
         self.close(Some(end_ps), true);
     }
 
     /// Discards the span without recording anything.
+    #[inline]
     pub fn cancel(mut self) {
         self.close(None, false);
     }
 
+    #[inline]
     fn close(&mut self, end_ps: Option<u64>, require_used: bool) {
-        let Some(i) = self.inner.take() else {
-            return;
-        };
-        // Disarm the slot — but only if it is still ours. A later
-        // span_speculate supersedes this guard (and already cleaned up any
-        // materialized residue), so a failed exchange means no-op.
-        if i.spec_token
-            .compare_exchange(self.token, 0, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
+        if let Some(i) = self.inner.take() {
+            Inner::close_speculative(
+                i,
+                self.token,
+                self.name,
+                self.start_ps,
+                end_ps,
+                require_used,
+            );
         }
-        let id = i.spec_id.swap(0, Ordering::Relaxed);
-        if id == 0 {
-            // Never materialized: nothing is on the stack. A conditional
-            // close or a cancel discards for free; an unconditional end
-            // commits as a leaf now (equivalent to span_record).
-            if !require_used {
-                if let Some(end_ps) = end_ps {
-                    let t = Telemetry {
-                        inner: Some(Arc::clone(&i)),
-                    };
-                    t.span_record(self.name, self.start_ps, end_ps);
-                }
-            }
-            return;
-        }
-        // Materialized, which implies a child attached ("used"), so both
-        // end() and end_if_used() commit; only cancel discards.
-        let mut sp = i.spans.lock().unwrap();
-        let Some(open) = sp.remove_open(id) else {
-            return;
-        };
-        let Some(end_ps) = end_ps else {
-            return;
-        };
-        let span = Span {
-            id,
-            parent: open.parent,
-            name: self.name,
-            start_ps: self.start_ps,
-            end_ps: end_ps.max(self.start_ps),
-        };
-        sp.stats
-            .entry(self.name)
-            .or_default()
-            .record(span.duration_ps());
-        sp.ring.push(span);
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for SpeculativeSpan {
+    #[inline]
     fn drop(&mut self) {
         self.close(None, false);
     }
@@ -964,14 +983,12 @@ impl Drop for SpeculativeSpan {
 /// [`PhaseGuard::finish`] is the explicit-close spelling for call sites
 /// that reopen a phase in a loop. For a disabled handle the guard holds
 /// nothing and closing it is a no-op.
-#[cfg(feature = "enabled")]
 #[must_use = "bind the guard; the phase is timed until it drops"]
 pub struct PhaseGuard {
     inner: Option<Arc<Inner>>,
     token: u64,
 }
 
-#[cfg(feature = "enabled")]
 impl std::fmt::Debug for PhaseGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PhaseGuard")
@@ -981,266 +998,19 @@ impl std::fmt::Debug for PhaseGuard {
     }
 }
 
-#[cfg(feature = "enabled")]
 impl PhaseGuard {
     /// Closes the phase now (equivalent to dropping the guard).
     #[inline]
     pub fn finish(self) {}
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for PhaseGuard {
+    #[inline]
     fn drop(&mut self) {
         if let Some(i) = self.inner.take() {
-            i.wall.lock().unwrap().close(self.token);
+            Inner::close_phase(i, self.token);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Feature OFF: zero-cost stand-ins with the same API.
-// ---------------------------------------------------------------------------
-
-/// Zero-sized stand-in for the telemetry hub (feature `enabled` off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Debug, Default)]
-pub struct Telemetry;
-
-#[cfg(not(feature = "enabled"))]
-impl Telemetry {
-    /// Accepts the config and discards it.
-    pub fn new(_cfg: TelemetryConfig) -> Self {
-        Telemetry
-    }
-
-    /// Same as [`Telemetry::new`] in this mode: records nothing.
-    pub fn disabled() -> Self {
-        Telemetry
-    }
-
-    /// Forks into another zero-sized handle.
-    pub fn fork(&self) -> Telemetry {
-        Telemetry
-    }
-
-    /// No-op.
-    pub fn merge_from(&self, _other: &Telemetry) {}
-
-    /// No-op.
-    pub fn merge_from_prefixed(&self, _other: &Telemetry, _wall_prefix: &str) {}
-
-    /// Always `false` in this mode.
-    pub fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// Returns a plain local counter cell.
-    pub fn counter(&self, _name: &'static str) -> Counter {
-        Counter::default()
-    }
-
-    /// Returns a plain local gauge cell.
-    pub fn gauge(&self, _name: &'static str) -> Gauge {
-        Gauge::default()
-    }
-
-    /// Returns a no-op histogram handle.
-    pub fn histogram(&self, _name: &'static str) -> Histogram {
-        Histogram
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn record(&self, _ts_ps: u64, _kind: EventKind) {}
-
-    /// Returns an inert span guard.
-    #[inline]
-    pub fn span_start(&self, _name: &'static str, _start_ps: u64) -> ActiveSpan {
-        ActiveSpan
-    }
-
-    /// Returns an inert speculative span guard.
-    #[inline]
-    pub fn span_speculate(&self, _name: &'static str, _start_ps: u64) -> SpeculativeSpan {
-        SpeculativeSpan
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn span_record(&self, _name: &'static str, _start_ps: u64, _end_ps: u64) {}
-
-    /// Returns an inert phase guard: no clock read, no lock, zero size.
-    #[inline]
-    pub fn phase(&self, _name: &'static str) -> PhaseGuard {
-        PhaseGuard
-    }
-
-    /// Always empty in this mode.
-    pub fn spans(&self) -> Vec<Span> {
-        Vec::new()
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn push_epoch(&self, _record: EpochRecord) {}
-
-    /// Always empty in this mode.
-    pub fn epochs(&self) -> EpochSeries {
-        EpochSeries::new()
-    }
-
-    /// Always empty in this mode.
-    pub fn trace_events(&self) -> Vec<crate::event::Event> {
-        Vec::new()
-    }
-
-    /// Always `None` in this mode.
-    pub fn summary(&self) -> Option<TelemetrySummary> {
-        None
-    }
-
-    /// Always empty in this mode.
-    pub fn histogram_snapshots(&self) -> Vec<(String, crate::hist::HistogramData)> {
-        Vec::new()
-    }
-}
-
-/// Plain local counter cell: a bare `u64` increment (feature off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Debug, Default)]
-pub struct Counter(std::cell::Cell<u64>);
-
-#[cfg(not(feature = "enabled"))]
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.set(self.0.get().wrapping_add(1));
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().wrapping_add(n));
-    }
-
-    /// Current (handle-local) value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// Plain local gauge cell (feature off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(std::cell::Cell<f64>);
-
-#[cfg(not(feature = "enabled"))]
-impl Gauge {
-    /// Overwrites the (handle-local) value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.set(v);
-    }
-
-    /// Current (handle-local) value.
-    pub fn get(&self) -> f64 {
-        self.0.get()
-    }
-}
-
-/// No-op histogram handle (feature off).
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Debug, Default)]
-pub struct Histogram;
-
-#[cfg(not(feature = "enabled"))]
-impl Histogram {
-    /// No-op.
-    #[inline]
-    pub fn record(&self, _v: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn merge(&self, _batch: &crate::hist::HistogramData) {}
-
-    /// Always 0 in this mode.
-    pub fn percentile(&self, _q: f64) -> f64 {
-        0.0
-    }
-
-    /// Always 0 in this mode.
-    pub fn p50(&self) -> f64 {
-        0.0
-    }
-
-    /// Always 0 in this mode.
-    pub fn p99(&self) -> f64 {
-        0.0
-    }
-}
-
-/// Inert span guard (feature off): every close is a no-op.
-#[cfg(not(feature = "enabled"))]
-#[must_use = "bind the span and close it with end()/end_if_used()/cancel()"]
-#[derive(Debug)]
-pub struct ActiveSpan;
-
-/// Inert phase guard (feature off): a zero-sized type with no `Drop`, so
-/// instrumented call sites compile to nothing — in particular, no
-/// `Instant` is ever read.
-#[cfg(not(feature = "enabled"))]
-#[must_use = "bind the guard; the phase is timed until it drops"]
-#[derive(Debug)]
-pub struct PhaseGuard;
-
-#[cfg(not(feature = "enabled"))]
-impl PhaseGuard {
-    /// No-op.
-    #[inline]
-    pub fn finish(self) {}
-}
-
-#[cfg(not(feature = "enabled"))]
-impl ActiveSpan {
-    /// Always 0 in this mode.
-    pub fn id(&self) -> u64 {
-        0
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn end(self, _end_ps: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn end_if_used(self, _end_ps: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn cancel(self) {}
-}
-
-/// Inert speculative span guard (feature off): a zero-sized type with no
-/// `Drop`, so the quiet path compiles to nothing.
-#[cfg(not(feature = "enabled"))]
-#[must_use = "bind the span and close it with end()/end_if_used()/cancel()"]
-#[derive(Debug)]
-pub struct SpeculativeSpan;
-
-#[cfg(not(feature = "enabled"))]
-impl SpeculativeSpan {
-    /// No-op.
-    #[inline]
-    pub fn end(self, _end_ps: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn end_if_used(self, _end_ps: u64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn cancel(self) {}
 }
 
 #[cfg(test)]
@@ -1266,7 +1036,6 @@ mod tests {
         assert_eq!(g.get(), 0.75);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn named_handles_share_state() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1279,7 +1048,6 @@ mod tests {
         assert_eq!(s.counter("shared"), Some(2));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn activates_are_filtered_by_default() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1295,7 +1063,6 @@ mod tests {
         assert_eq!(t2.trace_events().len(), 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_aggregates_every_metric_kind() {
         use crate::epoch::EpochRecord;
@@ -1336,7 +1103,6 @@ mod tests {
         assert_eq!(epochs, vec![0, 1]);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_nest_and_record_duration_stats() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1358,7 +1124,6 @@ mod tests {
         assert_eq!(s.histogram("span.child").unwrap().max, 30);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn end_if_used_commits_only_with_children() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1375,7 +1140,6 @@ mod tests {
         assert_eq!(spans[1].name, "speculative");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn cancel_and_drop_record_nothing() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1391,7 +1155,6 @@ mod tests {
         assert_eq!(t.summary().unwrap().spans_recorded, 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn end_clamps_backwards_time() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1400,7 +1163,6 @@ mod tests {
         assert_eq!((s.start_ps, s.end_ps), (100, 100));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_remaps_span_ids_and_parents() {
         let parent = Telemetry::new(TelemetryConfig::default());
@@ -1431,7 +1193,6 @@ mod tests {
         assert!(!ids.contains(&post_id));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn zero_capacity_span_ring_never_panics() {
         let t = Telemetry::new(TelemetryConfig {
@@ -1450,7 +1211,6 @@ mod tests {
         assert_eq!(s.histogram("span.a").unwrap().count, 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_with_disabled_or_self_is_a_no_op() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1461,7 +1221,6 @@ mod tests {
         assert_eq!(t.summary().unwrap().counter("c"), Some(1));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn fork_inherits_config_but_not_state() {
         let t = Telemetry::new(TelemetryConfig {
@@ -1477,7 +1236,6 @@ mod tests {
         assert!(!Telemetry::disabled().fork().is_enabled());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn disabled_handle_records_nothing() {
         let t = Telemetry::disabled();
@@ -1489,7 +1247,6 @@ mod tests {
         assert_eq!(c.get(), 0);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn phases_nest_and_account_self_vs_child() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1518,7 +1275,6 @@ mod tests {
         assert_eq!(w.host_wallclock_ns, outer.total_ns);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn phase_finish_closes_early_and_loops_reopen() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1536,7 +1292,6 @@ mod tests {
         assert_eq!(w.phase("run").unwrap().count, 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn open_phases_do_not_leak_into_summary_or_merge() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1555,7 +1310,6 @@ mod tests {
         assert!(w.phase("still_open").is_none());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn phase_counts_merge_deterministically_across_forks() {
         fn exercise(hub: &Telemetry) {
@@ -1574,7 +1328,6 @@ mod tests {
         assert_eq!(w.path("r;c").unwrap().count, 4);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn disabled_handle_phase_is_inert() {
         let t = Telemetry::disabled();
@@ -1583,7 +1336,6 @@ mod tests {
         assert!(t.summary().is_none());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_quiet_path_records_nothing_and_burns_no_id() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1597,7 +1349,6 @@ mod tests {
         root.end(21);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_materializes_via_child_span_start() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1617,7 +1368,6 @@ mod tests {
         assert_eq!(root.parent, None);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_materializes_via_span_record() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1631,7 +1381,6 @@ mod tests {
         assert_eq!(leaf.parent, Some(root.id));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_unconditional_end_commits_as_leaf() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1643,7 +1392,6 @@ mod tests {
         assert_eq!(spans[0].duration_ps(), 4);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_nests_under_open_parent_only_when_used() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1672,7 +1420,6 @@ mod tests {
         assert_eq!(leaf.parent, Some(mid.id));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn speculative_cancel_and_drop_discard_even_when_materialized() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1692,7 +1439,6 @@ mod tests {
         assert_eq!(t.spans().last().unwrap().parent, None);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn superseded_speculative_span_is_discarded_and_stack_stays_clean() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1716,7 +1462,6 @@ mod tests {
         assert_eq!(t.spans().last().unwrap().parent, None);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_from_prefixed_nests_wall_phases_and_credits_child_time() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1748,7 +1493,6 @@ mod tests {
         assert_eq!(w.host_wallclock_ns, root.total_ns);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_from_prefixed_with_empty_prefix_is_flat() {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -1761,38 +1505,43 @@ mod tests {
         assert_eq!(t.summary().unwrap().counter("c"), Some(1));
     }
 
-    #[cfg(not(feature = "enabled"))]
     #[test]
-    fn feature_off_speculative_span_is_zero_sized_and_inert() {
-        assert_eq!(std::mem::size_of::<SpeculativeSpan>(), 0);
-        let t = Telemetry::new(TelemetryConfig::default());
-        t.span_speculate("x", 0).end_if_used(1);
-        t.span_speculate("y", 0).end(1);
-        t.span_speculate("z", 0).cancel();
-        t.merge_from_prefixed(&Telemetry::new(TelemetryConfig::default()), "p");
-        assert!(t.summary().is_none());
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn feature_off_phase_guard_is_zero_sized() {
-        assert_eq!(std::mem::size_of::<PhaseGuard>(), 0);
-        let t = Telemetry::new(TelemetryConfig::default());
-        let g = t.phase("x");
-        g.finish();
-        let _held = t.phase("y");
-        assert!(t.summary().is_none());
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_build_is_inert() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        assert!(!t.is_enabled());
+    fn disabled_handle_guards_close_with_no_effect() {
+        let t = Telemetry::disabled();
+        let span = t.span_start("a", 0);
+        assert_eq!(span.id(), 0);
+        span.end(1);
+        t.span_start("b", 0).end_if_used(1);
+        t.span_start("c", 0).cancel();
+        drop(t.span_start("d", 0));
+        t.span_speculate("e", 0).end(1);
+        t.span_speculate("f", 0).end_if_used(1);
+        t.span_speculate("g", 0).cancel();
+        drop(t.span_speculate("h", 0));
+        t.span_record("i", 0, 1);
+        t.phase("j").finish();
+        drop(t.phase("k"));
         t.record(1, EventKind::EpochRollover { epoch: 0 });
-        assert!(t.summary().is_none());
+        t.push_epoch(EpochRecord::default());
         let h = t.histogram("h");
         h.record(10);
         assert_eq!(h.snapshot().count(), 0);
+        t.gauge("g").set(1.0);
+        assert_eq!(t.gauge("g").get(), 0.0);
+        assert!(t.spans().is_empty());
+        assert!(t.epochs().is_empty());
+        assert!(t.trace_events().is_empty());
+        assert!(t.histogram_snapshots().is_empty());
+        assert!(t.summary().is_none());
+        // Forks stay detached, and prefixed merges are no-ops both ways.
+        let fork = t.fork();
+        assert!(!fork.is_enabled());
+        let live = Telemetry::new(TelemetryConfig::default());
+        live.phase("p").finish();
+        t.merge_from_prefixed(&live, "shard0");
+        assert!(t.summary().is_none());
+        live.merge_from_prefixed(&fork, "shard0");
+        let wall = live.summary().unwrap().wallclock.unwrap();
+        assert!(wall.path("shard0").is_none());
     }
 }

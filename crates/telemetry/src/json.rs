@@ -1,5 +1,8 @@
-//! Tiny hand-rolled JSON emission helpers (the workspace carries no real
-//! serialization dependency — see `vendor/README.md`).
+//! The workspace's one JSON module: hand-rolled emission helpers plus a
+//! small recursive-descent parser for the subset the workspace writes
+//! (objects, arrays, strings, finite numbers, booleans, null). The
+//! workspace carries no real serialization dependency — see
+//! `vendor/README.md`.
 
 /// Appends `s` as a quoted, escaped JSON string.
 pub fn push_str(out: &mut String, s: &str) {
@@ -18,11 +21,11 @@ pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Formats a float as a JSON number (`null` for non-finite values).
-pub fn num(v: f64) -> String {
+/// Formats a float as a short JSON number: at most six decimal places,
+/// trailing zeros trimmed, `null` for non-finite values. For telemetry
+/// exports, where a stable short form beats full precision.
+pub fn num_trimmed(v: f64) -> String {
     if v.is_finite() {
-        // Trim to a stable short form; full precision is irrelevant for
-        // telemetry consumers and bloats the files.
         let s = format!("{v:.6}");
         let s = s.trim_end_matches('0').trim_end_matches('.');
         if s.is_empty() || s == "-" {
@@ -32,6 +35,291 @@ pub fn num(v: f64) -> String {
         }
     } else {
         "null".into()
+    }
+}
+
+/// Formats a float so that parsing it back yields the identical `f64`
+/// (Rust's shortest-roundtrip `Display`), `0` for non-finite values so the
+/// document stays parseable. For files that are read back and compared,
+/// such as the regression gate's baselines.
+pub fn num_exact(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "0".to_string()
+    }
+}
+
+/// A parsed JSON document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonValue {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any finite number.
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<JsonValue>),
+    /// An object, in source order (duplicate keys keep the first).
+    Obj(Vec<(String, JsonValue)>),
+}
+
+impl JsonValue {
+    /// The value as an object's field list, if it is one.
+    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
+        match self {
+            JsonValue::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
+    /// The value as an array, if it is one.
+    pub fn as_arr(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+    /// The value as a string, if it is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+    /// The value as a number, if it is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+    /// The value as a boolean, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// Looks up `name` in an object's field list.
+pub fn get<'a>(obj: &'a [(String, JsonValue)], name: &str) -> Option<&'a JsonValue> {
+    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+}
+
+/// Parses a complete JSON document (trailing whitespace allowed).
+pub fn parse(text: &str) -> Result<JsonValue, String> {
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing garbage at byte {}", p.pos));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!(
+                "expected {:?} at byte {}, found {:?}",
+                b as char,
+                self.pos,
+                self.peek().map(|c| c as char)
+            ))
+        }
+    }
+
+    fn eat_keyword(&mut self, word: &str) -> bool {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            true
+        } else {
+            false
+        }
+    }
+
+    fn value(&mut self) -> Result<JsonValue, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b't') if self.eat_keyword("true") => Ok(JsonValue::Bool(true)),
+            Some(b'f') if self.eat_keyword("false") => Ok(JsonValue::Bool(false)),
+            Some(b'n') if self.eat_keyword("null") => Ok(JsonValue::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            other => Err(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|c| c as char),
+                self.pos
+            )),
+        }
+    }
+
+    fn object(&mut self) -> Result<JsonValue, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(JsonValue::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Obj(fields));
+                }
+                other => {
+                    return Err(format!(
+                        "expected ',' or '}}' at byte {}, found {:?}",
+                        self.pos,
+                        other.map(|c| c as char)
+                    ))
+                }
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<JsonValue, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Arr(items));
+                }
+                other => {
+                    return Err(format!(
+                        "expected ',' or ']' at byte {}, found {:?}",
+                        self.pos,
+                        other.map(|c| c as char)
+                    ))
+                }
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or("truncated \\u escape")?;
+                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                            // Surrogate pairs are not emitted by the gate
+                            // writer; map them to the replacement char.
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            self.pos += 4;
+                        }
+                        other => {
+                            return Err(format!(
+                                "bad escape {:?} at byte {}",
+                                other.map(|c| c as char),
+                                self.pos
+                            ))
+                        }
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Consume one UTF-8 scalar (the input is a &str, so
+                    // byte boundaries are safe to find this way).
+                    let start = self.pos;
+                    self.pos += 1;
+                    while self.pos < self.bytes.len()
+                        && (self.bytes[self.pos] & 0b1100_0000) == 0b1000_0000
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .map_err(|_| "invalid UTF-8 in string")?,
+                    );
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| "invalid number bytes")?;
+        text.parse::<f64>()
+            .map(JsonValue::Num)
+            .map_err(|_| format!("bad number {text:?} at byte {start}"))
     }
 }
 
@@ -48,9 +336,16 @@ mod tests {
 
     #[test]
     fn numbers_are_trimmed() {
-        assert_eq!(num(1.5), "1.5");
-        assert_eq!(num(2.0), "2");
-        assert_eq!(num(0.0), "0");
-        assert_eq!(num(f64::NAN), "null");
+        assert_eq!(num_trimmed(1.5), "1.5");
+        assert_eq!(num_trimmed(2.0), "2");
+        assert_eq!(num_trimmed(0.0), "0");
+        assert_eq!(num_trimmed(f64::NAN), "null");
+    }
+
+    #[test]
+    fn exact_numbers_round_trip() {
+        let v = 2.5520750782995765;
+        assert_eq!(num_exact(v).parse::<f64>().unwrap(), v);
+        assert_eq!(num_exact(f64::INFINITY), "0");
     }
 }

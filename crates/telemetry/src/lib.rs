@@ -4,9 +4,7 @@
 //! share:
 //!
 //! * [`Counter`] / [`Gauge`] handles backed by a named registry inside
-//!   [`Telemetry`]. With the `enabled` feature they are shared atomics; with
-//!   it off they degrade to plain thread-local cells, so instrumented hot
-//!   paths still compile to a bare `u64` increment.
+//!   [`Telemetry`]: shared atomics on a live hub, inert on a disabled one.
 //! * [`HistogramData`] — log-bucketed (power-of-two) latency histograms with
 //!   p50/p95/p99/max summaries, plus the [`Histogram`] recording handle.
 //! * [`RingBuffer`] + [`EventKind`] — a bounded event trace of typed
@@ -21,9 +19,10 @@
 //! * [`wallclock`] + [`PhaseGuard`] — scoped *host-time* phase timers over
 //!   `std::time::Instant` with a nesting stack, self/child accounting, and
 //!   folded-stacks export; the throughput instrument behind the hot-loop
-//!   speed campaign. Zero-cost (no clock reads) with the feature off.
+//!   speed campaign. A disabled hub reads no clock.
 //! * [`export`] — JSONL and Chrome `about:tracing` writers for all of the
-//!   above, hand-rolled so no serialization dependency is required.
+//!   above, over [`json`], the workspace's one hand-rolled JSON emitter and
+//!   parser (no serialization dependency is required).
 //! * [`Snapshot`] / [`SnapshotTracker`] — read-only, point-in-time views
 //!   of a live hub with per-counter deltas; [`MetricsPlane`] — the opt-in
 //!   live scrape endpoint (`/metrics` Prometheus text + `/healthz` JSON,
@@ -34,9 +33,9 @@
 //!   `u64` stats structs (`Default + AddAssign + aggregate + diff` and
 //!   field iteration from a single field list).
 //!
-//! The raw data structures ([`HistogramData`], [`RingBuffer`],
-//! [`EpochSeries`]) are compiled unconditionally so they stay property-
-//! testable in both feature modes; only the shared-hub plumbing is gated.
+//! Observability has one off-switch: attach no hub, or attach
+//! [`Telemetry::disabled`]. A detached handle costs one inlined branch per
+//! instrumented call (see [`hub`]).
 
 pub mod alerts;
 pub mod epoch;
@@ -45,7 +44,7 @@ pub mod export;
 pub mod expose;
 pub mod hist;
 pub mod hub;
-mod json;
+pub mod json;
 pub mod ring;
 pub mod snapshot;
 pub mod span;

@@ -120,10 +120,9 @@ impl SnapshotTracker {
         }
     }
 
-    /// Captures a snapshot of `hub`, or `None` when the hub is disabled
-    /// (or the crate was built without the `enabled` feature). Read-only:
-    /// nothing in the hub changes, so enabling captures never perturbs a
-    /// run's recorded telemetry.
+    /// Captures a snapshot of `hub`, or `None` when the hub is disabled.
+    /// Read-only: nothing in the hub changes, so enabling captures never
+    /// perturbs a run's recorded telemetry.
     pub fn capture(&mut self, hub: &Telemetry) -> Option<Snapshot> {
         let summary = hub.summary()?;
         let now = Instant::now();
@@ -168,9 +167,6 @@ mod tests {
     #[test]
     fn deltas_track_counter_increases() {
         let hub = Telemetry::new(TelemetryConfig::default());
-        if !hub.is_enabled() {
-            return; // feature off: capture is always None, covered above
-        }
         let c = hub.counter("sim.requests");
         let mut tracker = SnapshotTracker::new();
         c.add(5);
@@ -189,9 +185,6 @@ mod tests {
     #[test]
     fn histograms_capture_via_the_shared_helper() {
         let hub = Telemetry::new(TelemetryConfig::default());
-        if !hub.is_enabled() {
-            return;
-        }
         hub.histogram("mem.access_ps").record(100);
         hub.histogram("mem.access_ps").record(200);
         let mut tracker = SnapshotTracker::new();

@@ -70,7 +70,7 @@ impl TelemetrySummary {
             }
             json::push_str(&mut out, name);
             out.push(':');
-            out.push_str(&json::num(*v));
+            out.push_str(&json::num_trimmed(*v));
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
@@ -81,10 +81,10 @@ impl TelemetrySummary {
             out.push_str(&format!(
                 ":{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
                 h.count,
-                json::num(h.mean),
-                json::num(h.p50),
-                json::num(h.p95),
-                json::num(h.p99),
+                json::num_trimmed(h.mean),
+                json::num_trimmed(h.p50),
+                json::num_trimmed(h.p95),
+                json::num_trimmed(h.p99),
                 h.max
             ));
         }

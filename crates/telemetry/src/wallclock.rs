@@ -4,10 +4,10 @@
 //! module measures *host* nanoseconds, so the hot-loop speed campaign can
 //! see where real time goes and gate on accesses per wallclock second. The
 //! pure accumulation structures here ([`PhaseStats`], [`WallProfile`],
-//! [`WallclockSummary`]) are compiled unconditionally so they stay
-//! property-testable in both feature modes; the actual `Instant`-reading
-//! machinery (the phase stack and [`crate::hub::PhaseGuard`]) lives in the
-//! hub and is feature-gated.
+//! [`WallclockSummary`]) carry no clock, so they stay property-testable;
+//! the actual `Instant`-reading machinery (the phase stack and
+//! [`crate::hub::PhaseGuard`]) lives in the hub, and a disabled hub never
+//! reads the clock.
 //!
 //! Host time is nondeterministic, so [`WallclockSummary`]'s `PartialEq`
 //! deliberately compares only the deterministic shape of a profile — phase
@@ -294,7 +294,7 @@ impl WallclockSummary {
             "{{\"host_wallclock_ns\":{},\"accesses_simulated\":{},\"accesses_per_sec\":{}}}",
             self.host_wallclock_ns,
             self.accesses_simulated,
-            json::num(self.accesses_per_sec)
+            json::num_trimmed(self.accesses_per_sec)
         )
     }
 
@@ -306,7 +306,7 @@ impl WallclockSummary {
              \"phases\":{{",
             self.host_wallclock_ns,
             self.accesses_simulated,
-            json::num(self.accesses_per_sec)
+            json::num_trimmed(self.accesses_per_sec)
         );
         for (i, (name, s)) in self.phases.iter().enumerate() {
             if i > 0 {
