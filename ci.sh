@@ -179,21 +179,36 @@ AQUA_BENCH_WORKLOADS=mcf target/release/fault_campaign \
 echo "no alert fired on a clean sweep"
 
 # Host-time profiler smoke: the folded-stacks output must be non-empty and
-# contain the sim.run root (flamegraph.pl-consumable).
+# contain the cell's sim.run, nested under the matrix coordinator's
+# bench.run (flamegraph.pl-consumable).
 echo
 echo "==> profile smoke"
 cargo run --offline -q --release -p aqua-bench --bin profile -- \
     --folded target/experiments/profile_smoke.folded \
     --jsonl target/experiments/profile_smoke.jsonl >/dev/null
-run grep -q '^sim\.run' target/experiments/profile_smoke.folded
+run grep -q '^bench\.run;sim\.run' target/experiments/profile_smoke.folded
 echo
 echo "==> profile smoke (sharded: per-shard phases and imbalance summary)"
 profile_shard_out=$(cargo run --offline -q --release -p aqua-bench --bin profile -- \
     --channels 2 \
     --folded target/experiments/profile_shard_smoke.folded \
     --jsonl target/experiments/profile_shard_smoke.jsonl)
-run grep -q '^sim\.sharded;shard1;sim\.run' target/experiments/profile_shard_smoke.folded
+run grep -q '^bench\.run;sim\.sharded;shard1;sim\.run' \
+    target/experiments/profile_shard_smoke.folded
 grep -q 'shard imbalance (2 shards)' <<<"$profile_shard_out"
+
+# Benchmark lockfile guard: perfbench/ is a package of its own whose
+# Cargo.lock records the simulator crates' dependency list. A --locked
+# build fails any change that would rewrite that lockfile (a new crate
+# dependency, say); a 1-second run of every workload must then check its
+# cells correct with no failed op.
+echo
+echo "==> perfbench: --locked build, then every workload for 1 s"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+perfbench_result=$(perfbench/target/release/aqua-perfbench --workload all --seconds 1 | tail -n 1)
+grep -q '"correct": true' <<<"$perfbench_result"
+grep -q '"failed": 0' <<<"$perfbench_result"
+echo "perfbench built against its lockfile and checked every workload correct"
 
 # Performance-regression gate: the deterministic canary matrix must stay
 # within tolerance of the committed BENCH_8.json baseline — behavioral

@@ -22,9 +22,11 @@
 //! - a CSV via the instrumented writer, so the CSV write itself lands in
 //!   the hub as a `bench.csv` phase.
 //!
-//! With `--channels N > 1` the cell runs through the sharded engine
-//! (`--shard-workers` caps the worker pool, 0 = one per core) and every
-//! shard's phases come back under `sim.sharded;shard<i>;…`, so the table
+//! The cell's own phases nest under the coordinator's `bench.run`
+//! (`bench.run;sim.run;…`). With `--channels N > 1` the cell runs through
+//! the sharded engine (`--shard-workers` caps the worker pool, 0 = one per
+//! core) and every shard's phases come back under
+//! `bench.run;sim.sharded;shard<i>;…`, so the table
 //! shows each channel's hot loop separately. A **shard-imbalance summary**
 //! follows: per-shard wallclock (summed over that shard's merged root
 //! phases), min/median/max, and the max/median ratio — the number that says
@@ -140,11 +142,10 @@ fn main() {
         .expect("a live hub profiles at least the sim.run phase");
 
     print_phase_table(&wall.paths, wall.host_wallclock_ns);
-    // Per-job sim phases merge back as *sibling* roots of the coordinator's
-    // bench.* phases, so — exactly like perf samples folded across threads —
-    // root totals sum CPU-side time and can exceed elapsed wallclock.
+    // Per-job sim phases merge back nested under the coordinator's
+    // bench.run, so the root totals are the coordinator's elapsed time.
     println!(
-        "\nhost time      : {:.3} ms across {} phase paths (summed over threads)",
+        "\nhost time      : {:.3} ms across {} phase paths",
         ms(wall.host_wallclock_ns),
         wall.paths.len()
     );
@@ -194,7 +195,7 @@ fn main() {
 
 /// Per-shard wallclock and imbalance from the merged phase tree.
 ///
-/// Each shard's phases come back under `sim.sharded;shard<i>;…`; a shard's
+/// Each shard's phases come back under `…;sim.sharded;shard<i>;…`; a shard's
 /// wallclock is the sum of its merged *root* phases (direct children of the
 /// shard prefix), which is how the coordinator's own `sim.sharded` span
 /// would see it if the shards ran serially. Prints nothing on a
@@ -202,7 +203,7 @@ fn main() {
 fn print_shard_imbalance(paths: &[(String, PhaseStats)]) {
     let mut per_shard: Vec<(String, u64)> = Vec::new();
     for (path, stats) in paths {
-        let Some(rest) = path.strip_prefix("sim.sharded;") else {
+        let Some((_, rest)) = path.split_once("sim.sharded;") else {
             continue;
         };
         let Some((shard, tail)) = rest.split_once(';') else {

@@ -639,9 +639,11 @@ impl Harness {
     ///
     /// Every job records into its own [`Telemetry::fork`] of `telemetry`;
     /// after the pool drains, the forks are merged back with
-    /// [`Telemetry::merge_from`] in job-index order, so the aggregate
+    /// [`Telemetry::merge_from_under`] in job-index order, so the aggregate
     /// counters, histograms, and epoch series are identical whether the
-    /// matrix ran on one worker or sixteen.
+    /// matrix ran on one worker or sixteen. Each job's wallclock phases
+    /// nest under the coordinator's `bench.run` (`bench.run;sim.run;…`), so
+    /// the hub's `host_wallclock_ns` is the matrix's elapsed time.
     ///
     /// Cells run under the supervision layer: `self.retries` seeded
     /// re-runs for watchdog expiries, a determinism probe for other
@@ -666,7 +668,7 @@ impl Harness {
         let telemetry = telemetry.or(auto_hub.as_ref());
         // Wallclock phases on the *parent* hub bracket the coordinator's
         // three stages; per-job sim phases land in the per-job forks and
-        // merge back underneath.
+        // merge back underneath `bench.run`, the phase they ran inside.
         let parent = telemetry.cloned().unwrap_or_default();
         let setup_phase = parent.phase("bench.setup");
         let jobs: Vec<(Scheme, &String)> = workloads
@@ -740,7 +742,10 @@ impl Harness {
                 let outcome = match attempted.outcome {
                     Ok((report, hub)) => {
                         if let (Some(parent), Some(job_hub)) = (telemetry, hub) {
-                            parent.merge_from(&job_hub);
+                            // Nested, not flat: a job's `sim.run` root
+                            // beside `bench.run` would count its host time
+                            // twice in `host_wallclock_ns`.
+                            parent.merge_from_under(&job_hub, "bench.run");
                         }
                         Ok(report)
                     }
@@ -1055,6 +1060,41 @@ mod tests {
         assert_eq!(hub_serial.summary(), hub_parallel.summary());
         assert_eq!(hub_serial.epochs(), hub_parallel.epochs());
         assert!(hub_serial.summary().unwrap().counter("sim.activations") > Some(0));
+    }
+
+    /// A matrix hub's host wallclock is the matrix's elapsed time: each
+    /// job's phases nest under `bench.run`, so the only roots are the
+    /// coordinator's `bench.*` stages and no host second counts twice.
+    #[test]
+    fn two_job_matrix_wallclock_is_the_sum_of_its_bench_roots() {
+        let hub = Telemetry::new(Default::default());
+        let start = std::time::Instant::now();
+        small_matrix(2, Some(&hub));
+        let elapsed_ns = start.elapsed().as_nanos() as u64;
+        let wall = hub.summary().unwrap().wallclock.unwrap();
+        let roots: Vec<&(String, aqua_telemetry::PhaseStats)> = wall
+            .paths
+            .iter()
+            .filter(|(p, _)| !p.contains(';'))
+            .collect();
+        assert!(
+            roots.iter().all(|(p, _)| p.starts_with("bench.")),
+            "job phases leaked to the root: {roots:?}"
+        );
+        let bench_roots: u64 = roots.iter().map(|(_, s)| s.total_ns).sum();
+        assert_eq!(wall.host_wallclock_ns, bench_roots);
+        assert!(
+            wall.host_wallclock_ns <= elapsed_ns,
+            "profiled {} ns in a {elapsed_ns} ns matrix",
+            wall.host_wallclock_ns
+        );
+        let run = wall.path("bench.run").unwrap();
+        let cells = wall.path("bench.run;sim.run").unwrap();
+        assert_eq!(run.count, 1);
+        assert_eq!(cells.count, 6, "one sim.run per cell");
+        // The absorbed job time is credited to bench.run, not bench.merge.
+        assert!(run.child_ns >= cells.total_ns);
+        assert!(wall.path("bench.merge").unwrap().child_ns < cells.total_ns);
     }
 
     /// Hot-loop campaign regression: after the hasher/container swap and

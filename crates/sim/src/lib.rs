@@ -51,6 +51,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod ablation;
+mod bitset;
 mod core_model;
 mod oracle;
 pub mod pool;

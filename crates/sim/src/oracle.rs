@@ -1,5 +1,13 @@
 //! Ground-truth activation oracle (the security checker).
+//!
+//! [`ActivationOracle`] sees every physical row activation — demand
+//! accesses and the mitigative refreshes a scheme's own tracker never
+//! observes — and reports which rows exceeded `T_RH` within a refresh
+//! window and which rows a single neighbour could have flipped. It runs on
+//! every activation of every simulation, so its per-row state is one
+//! packed record per row plus two bitsets; see the type's "Layout" notes.
 
+use crate::bitset::Bitset;
 use aqua_dram::{DramGeometry, RowAddr};
 use serde::{Deserialize, Serialize};
 
@@ -30,6 +38,15 @@ pub struct OracleSummary {
     pub epochs: u64,
 }
 
+/// Index of each field in a row's [`ActivationOracle`] record.
+const CURR: usize = 0;
+const PREV: usize = 1;
+/// Disturbance on the row from its lower neighbour (`row - 1`) since the
+/// row's last refresh.
+const DIST_LO: usize = 2;
+/// Disturbance from the upper neighbour (`row + 1`).
+const DIST_HI: usize = 3;
+
 /// Counts every activation of every *physical* row, independent of the
 /// mitigation scheme's own (fallible, resettable) tracker.
 ///
@@ -37,19 +54,31 @@ pub struct OracleSummary {
 /// `previous_epoch + current_epoch` upper-bounds the sliding-window
 /// activation count of a row; a row whose bound exceeds `T_RH` is reported
 /// as vulnerable.
+///
+/// # Layout
+///
+/// The oracle runs on every activation, so its state is laid out for the
+/// hot path rather than for reading:
+///
+/// - one 16-byte record `[curr, prev, dist_lo, dist_hi]` per row, so an
+///   activation's own counts and both neighbours' disturbance sit on one
+///   cache line (or two adjacent ones);
+/// - the sticky `flagged` (over `T_RH`) and `flippable` verdicts as bitsets
+///   (256 KiB each at paper scale), consulted only once a count exceeds
+///   `T_RH`.
+///
+/// The records come from a zeroed allocation and [`end_epoch`] never writes
+/// an all-zero record, so pages of rows the workload never touches are
+/// never written and never become resident.
+///
+/// [`end_epoch`]: ActivationOracle::end_epoch
 #[derive(Debug)]
 pub struct ActivationOracle {
     t_rh: u64,
     rows_per_bank: u32,
-    curr: Vec<u32>,
-    prev: Vec<u32>,
-    flagged: Vec<bool>,
-    /// Disturbance on each row from its lower neighbour (`row - 1`) since
-    /// the row's last refresh.
-    dist_lo: Vec<u32>,
-    /// Disturbance from the upper neighbour (`row + 1`).
-    dist_hi: Vec<u32>,
-    flippable: Vec<bool>,
+    rows: Vec<[u32; 4]>,
+    flagged: Bitset,
+    flippable: Bitset,
     summary: OracleSummary,
     band_totals: [u64; 3],
 }
@@ -62,12 +91,9 @@ impl ActivationOracle {
         ActivationOracle {
             t_rh,
             rows_per_bank: geometry.rows_per_bank,
-            curr: vec![0; rows],
-            prev: vec![0; rows],
-            flagged: vec![false; rows],
-            dist_lo: vec![0; rows],
-            dist_hi: vec![0; rows],
-            flippable: vec![false; rows],
+            rows: vec![[0u32; 4]; rows],
+            flagged: Bitset::new(rows),
+            flippable: Bitset::new(rows),
             summary: OracleSummary::default(),
             band_totals: [0; 3],
         }
@@ -82,17 +108,16 @@ impl ActivationOracle {
     /// `T_RH` (used to trace `ThresholdCrossed` events).
     pub fn record(&mut self, row: RowAddr) -> bool {
         let i = self.index(row);
-        self.curr[i] += 1;
+        let r = &mut self.rows[i];
+        r[CURR] += 1;
+        let window = u64::from(r[CURR]) + u64::from(r[PREV]);
         self.summary.total_activations += 1;
-        let window = self.curr[i] as u64 + self.prev[i] as u64;
         if window > self.summary.max_window_activations {
             self.summary.max_window_activations = window;
         }
-        let mut crossed = false;
-        if window > self.t_rh && !self.flagged[i] {
-            self.flagged[i] = true;
+        let crossed = window > self.t_rh && self.flagged.insert(i);
+        if crossed {
             self.summary.rows_over_trh += 1;
-            crossed = true;
         }
         self.disturb_neighbours(row, i);
         crossed
@@ -104,59 +129,64 @@ impl ActivationOracle {
     /// disturbance accumulated on it.
     pub fn record_refresh(&mut self, row: RowAddr) {
         let i = self.index(row);
-        self.curr[i] += 1;
+        let r = &mut self.rows[i];
+        r[CURR] += 1;
+        r[DIST_LO] = 0;
+        r[DIST_HI] = 0;
         self.summary.total_activations += 1;
-        self.dist_lo[i] = 0;
-        self.dist_hi[i] = 0;
         self.disturb_neighbours(row, i);
     }
 
     fn disturb_neighbours(&mut self, row: RowAddr, i: usize) {
         if row.row > 0 {
             // `row` is the upper neighbour of `row - 1`.
-            let below = i - 1;
-            self.dist_hi[below] += 1;
-            self.check_flippable(below);
+            self.disturb(i - 1, DIST_HI);
         }
         if row.row + 1 < self.rows_per_bank {
-            let above = i + 1;
-            self.dist_lo[above] += 1;
-            self.check_flippable(above);
+            self.disturb(i + 1, DIST_LO);
         }
     }
 
-    fn check_flippable(&mut self, i: usize) {
-        if !self.flippable[i]
-            && (self.dist_lo[i] as u64 > self.t_rh || self.dist_hi[i] as u64 > self.t_rh)
-        {
-            self.flippable[i] = true;
+    /// Adds one unit of disturbance from one side to row `i`. A row's
+    /// verdict is sticky, so only the count that just grew needs checking.
+    fn disturb(&mut self, i: usize, side: usize) {
+        let d = &mut self.rows[i][side];
+        *d += 1;
+        if u64::from(*d) > self.t_rh && self.flippable.insert(i) {
             self.summary.rows_flippable += 1;
         }
     }
 
     /// Current-epoch activation count of `row`.
     pub fn epoch_count(&self, row: RowAddr) -> u64 {
-        self.curr[self.index(row)] as u64
+        u64::from(self.rows[self.index(row)][CURR])
     }
 
     /// Two-epoch window bound for `row`.
     pub fn window_count(&self, row: RowAddr) -> u64 {
-        let i = self.index(row);
-        self.curr[i] as u64 + self.prev[i] as u64
+        let r = &self.rows[self.index(row)];
+        u64::from(r[CURR]) + u64::from(r[PREV])
     }
 
     /// Whether a bit flip became possible in `row` at any point in the run
     /// (a single neighbour exceeded `T_RH` activations since `row`'s last
     /// refresh).
     pub fn is_flippable(&self, row: RowAddr) -> bool {
-        self.flippable[self.index(row)]
+        self.flippable.contains(self.index(row))
     }
 
     /// Rolls over to the next epoch, folding the band histogram
     /// (Table II's 166+/500+/1000+ columns) into the running averages.
+    ///
+    /// One pass over the records: the current count becomes the previous
+    /// one and every row's disturbance resets. All-zero records are skipped
+    /// unwritten, so the rollover dirties no page the epoch did not touch.
     pub fn end_epoch(&mut self) {
-        for &c in &self.curr {
-            let c = c as u64;
+        for r in &mut self.rows {
+            if *r == [0; 4] {
+                continue;
+            }
+            let c = r[CURR];
             if c >= 166 {
                 self.band_totals[0] += 1;
                 if c >= 500 {
@@ -166,14 +196,12 @@ impl ActivationOracle {
                     }
                 }
             }
+            // Every row receives its periodic refresh once per window,
+            // which restores its charge; disturbance does not carry across
+            // epochs.
+            *r = [0, c, 0, 0];
         }
         self.summary.epochs += 1;
-        std::mem::swap(&mut self.prev, &mut self.curr);
-        self.curr.fill(0);
-        // Every row receives its periodic refresh once per window, which
-        // restores its charge; disturbance does not carry across epochs.
-        self.dist_lo.fill(0);
-        self.dist_hi.fill(0);
     }
 
     /// The oracle's summary (per-epoch band counts averaged over epochs).

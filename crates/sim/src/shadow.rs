@@ -13,7 +13,20 @@
 //! scheme may hand it an out-of-geometry address. Those are *counted* as
 //! violations, never panics, so a fault campaign can keep simulating and
 //! report the damage at the end of the run.
+//!
+//! # Identity by default
+//!
+//! Almost every row of a run holds its own data: only rows a scheme moved,
+//! swapped or reserved differ. The map therefore stores placement as a
+//! deviation from identity. A `displaced` bitset (256 KiB at paper scale)
+//! marks the rows whose occupant is not their own logical row, and only
+//! those rows' occupants are stored, XOR their own index, in a
+//! zero-initialised array — so a zero entry decodes to identity too.
+//! Construction writes nothing per row, [`ShadowMemory::verify`] on an
+//! undisplaced row reads one bit, and pages of rows no movement touches
+//! never become resident.
 
+use crate::bitset::Bitset;
 use aqua_dram::mitigation::DataMovement;
 use aqua_dram::{DramGeometry, GlobalRowId, RowAddr};
 
@@ -28,8 +41,12 @@ const VACANT: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct ShadowMemory {
     rows_per_bank: u32,
-    /// `contents[phys]` = logical row id stored there (or `VACANT`).
-    contents: Vec<u32>,
+    /// Rows whose occupant is not their own logical row (moved-out,
+    /// moved-in, swapped or vacant). Set exactly where `moved` is nonzero.
+    displaced: Bitset,
+    /// `moved[phys]` = (logical row id stored there, or `VACANT`) XOR
+    /// `phys`; zero for rows in identity placement.
+    moved: Vec<u32>,
     violations: u64,
 }
 
@@ -49,7 +66,8 @@ impl ShadowMemory {
         );
         ShadowMemory {
             rows_per_bank: geometry.rows_per_bank,
-            contents: (0..rows as u32).collect(),
+            displaced: Bitset::new(rows as usize),
+            moved: vec![0u32; rows as usize],
             violations: 0,
         }
     }
@@ -61,14 +79,36 @@ impl ShadowMemory {
             return None;
         }
         let i = row.bank.index() as usize * self.rows_per_bank as usize + row.row as usize;
-        (i < self.contents.len()).then_some(i)
+        (i < self.moved.len()).then_some(i)
+    }
+
+    /// The logical row id (or `VACANT`) stored in physical row `i`.
+    #[inline]
+    fn get(&self, i: usize) -> u32 {
+        if self.displaced.contains(i) {
+            self.moved[i] ^ i as u32
+        } else {
+            i as u32
+        }
+    }
+
+    /// Stores logical row id (or `VACANT`) `occupant` in physical row `i`.
+    fn set(&mut self, i: usize, occupant: u32) {
+        let delta = occupant ^ i as u32;
+        if delta != 0 {
+            self.displaced.insert(i);
+            self.moved[i] = delta;
+        } else if self.displaced.contains(i) {
+            self.displaced.remove(i);
+            self.moved[i] = 0;
+        }
     }
 
     /// Marks `row` as holding no data (reserved regions like AQUA's RQA).
     /// An out-of-geometry address is counted as a violation.
     pub fn vacate(&mut self, row: RowAddr) {
         match self.index(row) {
-            Some(i) => self.contents[i] = VACANT,
+            Some(i) => self.set(i, VACANT),
             None => self.violations += 1,
         }
     }
@@ -81,7 +121,7 @@ impl ShadowMemory {
     /// The logical row whose data occupies `phys`, if any (`None` for vacant
     /// or out-of-geometry addresses).
     pub fn occupant(&self, phys: RowAddr) -> Option<GlobalRowId> {
-        let c = self.contents[self.index(phys)?];
+        let c = self.get(self.index(phys)?);
         (c != VACANT).then(|| GlobalRowId::new(c as u64))
     }
 
@@ -95,20 +135,22 @@ impl ShadowMemory {
                     self.violations += 1;
                     return;
                 };
-                if self.contents[ti] != VACANT {
+                if self.get(ti) != VACANT {
                     // Overwriting live data is a bug in the scheme's
                     // sequencing (e.g. installing before evicting).
                     self.violations += 1;
                 }
-                self.contents[ti] = self.contents[fi];
-                self.contents[fi] = VACANT;
+                self.set(ti, self.get(fi));
+                self.set(fi, VACANT);
             }
             DataMovement::Swap { a, b } => {
                 let (Some(ai), Some(bi)) = (self.index(a), self.index(b)) else {
                     self.violations += 1;
                     return;
                 };
-                self.contents.swap(ai, bi);
+                let (at_a, at_b) = (self.get(ai), self.get(bi));
+                self.set(ai, at_b);
+                self.set(bi, at_a);
             }
         }
     }
@@ -117,7 +159,7 @@ impl ShadowMemory {
     /// (non-mutating: used by the fault driver's end-of-run audit).
     pub fn check(&self, row: GlobalRowId, phys: RowAddr) -> bool {
         self.index(phys)
-            .is_some_and(|i| u64::from(self.contents[i]) == row.index())
+            .is_some_and(|i| u64::from(self.get(i)) == row.index())
     }
 
     /// Verifies that accessing `phys` returns the data of logical `row`,

@@ -231,6 +231,17 @@ impl Inner {
     }
 }
 
+/// Where [`Telemetry::merge_impl`] puts the other hub's wallclock phases.
+#[derive(Clone, Copy)]
+enum WallMerge<'a> {
+    /// At the root, beside this hub's own roots.
+    Flat,
+    /// Under a synthetic phase at this path, credited to the open phase.
+    Prefixed(&'a str),
+    /// Under this already-closed phase, credited to it.
+    Under(&'a str),
+}
+
 /// A wallclock phase currently open on the hub's phase stack.
 struct OpenPhase {
     token: u64,
@@ -420,7 +431,7 @@ impl Telemetry {
     ///
     /// A no-op when either handle is disabled or both refer to the same hub.
     pub fn merge_from(&self, other: &Telemetry) {
-        self.merge_impl(other, None);
+        self.merge_impl(other, WallMerge::Flat);
     }
 
     /// Like [`Telemetry::merge_from`], but parks `other`'s completed
@@ -437,10 +448,24 @@ impl Telemetry {
     /// host the coordinator's real elapsed time is then *less* than the sum
     /// of its children, which is exactly the speedup signal.
     pub fn merge_from_prefixed(&self, other: &Telemetry, wall_prefix: &str) {
-        self.merge_impl(other, Some(wall_prefix));
+        self.merge_impl(other, WallMerge::Prefixed(wall_prefix));
     }
 
-    fn merge_impl(&self, other: &Telemetry, wall_prefix: Option<&str>) {
+    /// Like [`Telemetry::merge_from`], but parks `other`'s completed
+    /// wallclock phases under `wall_path`, the full path of a phase this hub
+    /// has already closed (see [`WallProfile::merge_under`]): the absorbed
+    /// root total becomes that phase's child time, not the currently open
+    /// phase's.
+    ///
+    /// The matrix runner merges each job hub under the root `bench.run`
+    /// phase the job ran inside, so `host_wallclock_ns` stays the
+    /// coordinator's elapsed time instead of adding every job's `sim.run`
+    /// to it.
+    pub fn merge_from_under(&self, other: &Telemetry, wall_path: &str) {
+        self.merge_impl(other, WallMerge::Under(wall_path));
+    }
+
+    fn merge_impl(&self, other: &Telemetry, wall: WallMerge<'_>) {
         let (Some(a), Some(b)) = (&self.inner, &other.inner) else {
             return;
         };
@@ -487,14 +512,15 @@ impl Telemetry {
         // transferred.
         let theirs_wall = b.wall.lock().unwrap();
         let mut w = a.wall.lock().unwrap();
-        match wall_prefix {
-            None | Some("") => w.profile.merge(&theirs_wall.profile),
-            Some(prefix) => {
+        match wall {
+            WallMerge::Flat | WallMerge::Prefixed("") => w.profile.merge(&theirs_wall.profile),
+            WallMerge::Prefixed(prefix) => {
                 let root_total = w.profile.merge_nested(prefix, &theirs_wall.profile);
                 if let Some(top) = w.stack.last_mut() {
                     top.child_ns += root_total;
                 }
             }
+            WallMerge::Under(path) => w.profile.merge_under(path, &theirs_wall.profile),
         }
     }
 

@@ -153,6 +153,32 @@ impl WallProfile {
         root_total
     }
 
+    /// Folds `other` in nested under `path`, a phase this profile has
+    /// already recorded: every path `p` of `other` lands at `path;p` and
+    /// `other`'s root total is added to `path`'s child time. No occurrence
+    /// is added at `path`, so its count and inclusive time stay what the
+    /// phase itself measured.
+    ///
+    /// The matrix runner uses this to park each job's profile under the
+    /// `bench.run` phase the jobs ran inside, once that phase has closed.
+    /// Parallel jobs can then credit `bench.run` with more child time than
+    /// its elapsed time; its self time saturates at zero.
+    pub fn merge_under(&mut self, path: &str, other: &WallProfile) {
+        let mut root_total = 0u64;
+        for (p, stats) in &other.paths {
+            if !p.contains(';') {
+                root_total += stats.total_ns;
+            }
+            self.paths
+                .entry(format!("{path};{p}"))
+                .or_default()
+                .merge(stats);
+        }
+        if let Some(parent) = self.paths.get_mut(path) {
+            parent.child_ns += root_total;
+        }
+    }
+
     /// Iterates `(path, stats)` in sorted path order.
     pub fn paths(&self) -> impl Iterator<Item = (&str, &PhaseStats)> {
         self.paths.iter().map(|(p, s)| (p.as_str(), s))
@@ -178,9 +204,11 @@ pub struct WallclockSummary {
     /// Per-phase stats aggregated over every path ending in that phase,
     /// sorted by name.
     pub phases: Vec<(String, PhaseStats)>,
-    /// Sum of root-path (no `;`) inclusive totals. For a single run this is
-    /// profiled elapsed time; after a parallel merge it is aggregate
-    /// profiled time across jobs (CPU-seconds, not elapsed).
+    /// Sum of root-path (no `;`) inclusive totals: profiled elapsed time.
+    /// Hubs merged from other threads nest under the phase they ran inside
+    /// ([`WallProfile::merge_nested`], [`WallProfile::merge_under`]), so
+    /// their time is not summed a second time here. A flat
+    /// [`WallProfile::merge`] of another thread's roots does add them.
     pub host_wallclock_ns: u64,
     /// Value of the `sim.requests` counter when the summary was taken.
     pub accesses_simulated: u64,
@@ -470,6 +498,25 @@ mod tests {
         let mut flat = WallProfile::new();
         assert_eq!(flat.merge_nested("", &sample_profile()), 1_000);
         assert_eq!(flat.path("sim.run").unwrap().count, 1);
+    }
+
+    #[test]
+    fn merge_under_credits_a_closed_phase_without_a_new_occurrence() {
+        let mut root = WallProfile::new();
+        root.record("bench.setup", 50, 0);
+        root.record("bench.run", 1_200, 0);
+        root.record("bench.merge", 30, 0);
+        // Two jobs ran in parallel inside bench.run.
+        root.merge_under("bench.run", &sample_profile());
+        root.merge_under("bench.run", &sample_profile());
+        let run = root.path("bench.run").unwrap();
+        assert_eq!((run.count, run.total_ns, run.child_ns), (1, 1_200, 2_000));
+        assert_eq!(run.self_ns(), 0);
+        assert_eq!(root.path("bench.run;sim.run").unwrap().count, 2);
+        assert_eq!(root.path("bench.merge").unwrap().child_ns, 0);
+        // Host wallclock is the coordinator's three stages, nothing more.
+        let s = WallclockSummary::from_profile(&root, 0);
+        assert_eq!(s.host_wallclock_ns, 1_280);
     }
 
     #[test]
